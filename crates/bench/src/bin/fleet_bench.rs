@@ -4,25 +4,16 @@
 //!
 //! 1. **Homogeneous morning fleet** — N independent morning-scenario
 //!    homes (§7.2, per-home parameter jitter) built from one shared
-//!    [`FleetTemplate`] and run through the sharded fleet driver with
-//!    the counters-only trace sink, once per worker-thread count
-//!    (1, 2, 4): homes/sec per thread count, fleet-wide latency
-//!    percentiles, outcome totals, the determinism cross-check (per-home
-//!    digests identical across thread counts) and the schedule
-//!    cross-check (`Static` and `Stealing` byte-identical per home).
-//! 2. **Heterogeneous neighborhood fleet** (`steal_vs_static`) — the
+//!    [`FleetTemplate`] and run through the fleet driver with the
+//!    counters-only trace sink, once per worker-thread count (1, 2, 4):
+//!    homes/sec per thread count, fleet-wide latency percentiles,
+//!    outcome totals, and the determinism cross-check (per-home digests
+//!    identical across thread counts).
+//! 2. **Heterogeneous neighborhood fleet** (`neighborhood`) — the
 //!    correlated-outage scenario, where per-home cost is heavy-tailed
-//!    (storm-center homes cost ~25× a mild one, ~100× a clean one).
-//!    Per-home costs are measured sequentially, then `Static` and
-//!    `Stealing` are compared two ways:
-//!    - *wallclock*: both schedules actually run at 4 workers (on a
-//!      machine with fewer than 4 idle cores this degenerates — total
-//!      CPU work is equal, so the ratio reads ~1);
-//!    - *modeled makespan*: from the measured per-home costs, static =
-//!      the max round-robin worker sum, stealing = a greedy least-loaded
-//!      schedule (what the stealer converges to). This equals the
-//!      wall-clock a ≥4-core machine observes and is what the CI gate
-//!      checks, because it is stable on shared runners.
+//!    (storm-center homes cost ~25× a mild one, ~100× a clean one). A
+//!    sequential reference pass runs every home on a plain [`Driver`];
+//!    `run_fleet` at 2 and 4 workers must reproduce it per home.
 //!
 //! Also written: a compact per-home digest sidecar (`<out>.digests.tsv`)
 //! with one `section  home  seed  digest` line per home, so a re-run can
@@ -52,13 +43,13 @@
 //!
 //! Exits non-zero when any home fails to reach quiescence, when any
 //! thread count records a non-positive rate, or when per-home results
-//! differ across thread counts or schedules.
+//! differ across thread counts.
 
 use std::collections::BTreeSet;
 use std::time::Instant;
 
 use safehome_core::{EngineConfig, VisibilityModel};
-use safehome_harness::{home_seed, run_fleet_with, Driver, FleetResult, FleetSchedule, HomeRun};
+use safehome_harness::{home_seed, run_fleet, Driver, FleetResult, HomeRun};
 use safehome_metrics::stats::percentile;
 use safehome_types::json::{obj, Json};
 use safehome_types::sink::RunCounters;
@@ -68,31 +59,15 @@ use safehome_workloads::{neighborhood_home, FleetTemplate, NeighborhoodParams, N
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 /// Fleet seed: every thread count replays the identical fleet.
 const FLEET_SEED: u64 = 0x5afe_f1ee;
-/// Fleet seed of the neighborhood (steal-vs-static) section.
+/// Fleet seed of the neighborhood section.
 const NEIGHBORHOOD_SEED: u64 = 0x5afe_0b0d;
-/// Worker count of the steal-vs-static comparison.
-const COMPARE_WORKERS: usize = 4;
+/// Worker counts the neighborhood section cross-checks against its
+/// sequential reference pass.
+const NEIGHBORHOOD_WORKERS: [usize; 2] = [2, 4];
 
-fn fleet(
-    template: &FleetTemplate,
-    homes: usize,
-    workers: usize,
-    schedule: FleetSchedule,
-) -> FleetResult {
-    run_fleet_with(homes, workers, FLEET_SEED, schedule, |_, seed| {
+fn fleet(template: &FleetTemplate, homes: usize, workers: usize) -> FleetResult {
+    run_fleet(homes, workers, FLEET_SEED, |_, seed| {
         template.home_spec(seed)
-    })
-}
-
-fn neighborhood_fleet(
-    template: &FleetTemplate,
-    plan: &NeighborhoodPlan,
-    homes: usize,
-    workers: usize,
-    schedule: FleetSchedule,
-) -> FleetResult {
-    run_fleet_with(homes, workers, NEIGHBORHOOD_SEED, schedule, |home, seed| {
-        neighborhood_home(template, plan, home, seed)
     })
 }
 
@@ -110,34 +85,6 @@ fn same_homes(label: &str, a: &[HomeRun], b: &[HomeRun]) -> bool {
         }
     }
     same
-}
-
-/// Max round-robin worker sum: the makespan a static shard schedule
-/// yields on `workers` idle cores given the measured per-home costs.
-fn static_makespan(costs: &[f64], workers: usize) -> f64 {
-    let mut sums = vec![0.0f64; workers];
-    for (i, c) in costs.iter().enumerate() {
-        sums[i % workers] += c;
-    }
-    sums.iter().cloned().fold(0.0, f64::max)
-}
-
-/// Greedy least-loaded (list-scheduling) makespan: homes in index order,
-/// each onto the currently least-loaded worker. This is what the
-/// work-stealing scheduler converges to — a thief takes pending work the
-/// moment it goes idle — and is within one home of optimal here.
-fn greedy_makespan(costs: &[f64], workers: usize) -> f64 {
-    let mut sums = vec![0.0f64; workers];
-    for &c in costs {
-        let w = sums
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).expect("costs are finite"))
-            .map(|(i, _)| i)
-            .expect("at least one worker");
-        sums[w] += c;
-    }
-    sums.iter().cloned().fold(0.0, f64::max)
 }
 
 fn outcomes_obj(fleet: &FleetResult) -> Json {
@@ -182,14 +129,14 @@ fn main() {
 
     // Warmup: touch every code path once so the first timed run does not
     // pay allocator and page-fault overhead the later ones skip.
-    fleet(&template, homes.clamp(4, 64), 2, FleetSchedule::Stealing);
+    fleet(&template, homes.clamp(4, 64), 2);
 
     // ---- Section 1: homogeneous morning fleet ----------------------
     let mut results = Vec::new();
     let mut rows = Vec::new();
     for workers in WORKER_COUNTS {
         let start = Instant::now();
-        let result = fleet(&template, homes, workers, FleetSchedule::Stealing);
+        let result = fleet(&template, homes, workers);
         let elapsed = start.elapsed().as_secs_f64();
         let rate = homes as f64 / elapsed;
         eprintln!(
@@ -222,10 +169,7 @@ fn main() {
     if deterministic {
         eprintln!("determinism: per-home results identical across {WORKER_COUNTS:?} workers");
     }
-    // Schedule cross-check: Static must agree byte-for-byte too.
-    let static_morning = fleet(&template, homes, COMPARE_WORKERS, FleetSchedule::Static);
-    let morning_agree = same_homes("static vs stealing", &base.homes, &static_morning.homes);
-    ok &= deterministic && morning_agree;
+    ok &= deterministic;
 
     let single_rate = results[0].1;
     let best_multi = results[1..]
@@ -312,7 +256,6 @@ fn main() {
         homes,
         2,
         FLEET_SEED,
-        FleetSchedule::Stealing,
         |_, spec| safehome_lint::check(spec),
         |_, seed| template.home_spec(seed),
     );
@@ -333,20 +276,16 @@ fn main() {
         plan.affected()
     );
 
-    // Per-home cost measurement: one sequential pass, timing each home.
-    // This doubles as the single-worker reference for the determinism
-    // and schedule cross-checks below.
-    let mut costs = Vec::with_capacity(n_homes);
+    // Sequential reference pass: every home on a plain driver, no
+    // scheduler involved.
     let mut reference = Vec::with_capacity(n_homes);
     let seq_start = Instant::now();
     for home in 0..n_homes {
         let seed = home_seed(NEIGHBORHOOD_SEED, home as u64);
-        let start = Instant::now();
         let spec = neighborhood_home(&template, &plan, home, seed);
         let mut driver = Driver::with_sink(&spec, RunCounters::new());
         let completed = driver.run_to_quiescence();
         let (counters, _, _) = driver.into_output();
-        costs.push(start.elapsed().as_secs_f64());
         assert!(completed, "neighborhood home {home} failed to quiesce");
         reference.push(HomeRun {
             home,
@@ -356,89 +295,25 @@ fn main() {
         });
     }
     let seq_elapsed = seq_start.elapsed().as_secs_f64();
-    eprintln!(
-        "neighborhood: sequential pass {seq_elapsed:.3}s \
-         (min home {:.2}ms, max home {:.2}ms)",
-        costs.iter().cloned().fold(f64::MAX, f64::min) * 1e3,
-        costs.iter().cloned().fold(0.0, f64::max) * 1e3,
-    );
+    eprintln!("neighborhood: sequential pass {seq_elapsed:.3}s");
 
-    // Real runs of both schedules at the comparison worker count (plus
-    // stealing at 2 for the cross-worker determinism check).
-    let wall_static_s;
-    let wall_stealing_s;
-    let steals;
-    let neighborhood_agree;
-    {
-        let start = Instant::now();
-        let static4 = neighborhood_fleet(
-            &template,
-            &plan,
-            n_homes,
-            COMPARE_WORKERS,
-            FleetSchedule::Static,
-        );
-        wall_static_s = start.elapsed().as_secs_f64();
-        let start = Instant::now();
-        let stealing4 = neighborhood_fleet(
-            &template,
-            &plan,
-            n_homes,
-            COMPARE_WORKERS,
-            FleetSchedule::Stealing,
-        );
-        wall_stealing_s = start.elapsed().as_secs_f64();
-        steals = stealing4.worker_stats.iter().map(|s| s.steals).sum::<u64>();
-        let stealing2 = neighborhood_fleet(&template, &plan, n_homes, 2, FleetSchedule::Stealing);
-        neighborhood_agree = same_homes("neighborhood static@4", &reference, &static4.homes)
-            & same_homes("neighborhood stealing@4", &reference, &stealing4.homes)
-            & same_homes("neighborhood stealing@2", &reference, &stealing2.homes);
-        ok &= neighborhood_agree;
-        assert!(static4.all_completed() && stealing4.all_completed());
-    }
-
-    let modeled_static_s = static_makespan(&costs, COMPARE_WORKERS);
-    let modeled_stealing_s = greedy_makespan(&costs, COMPARE_WORKERS);
-    let modeled_ratio = modeled_static_s / modeled_stealing_s;
-    let wall_ratio = wall_static_s / wall_stealing_s;
-    // On a machine with enough idle cores the wall clock is the real
-    // measurement; below that it degenerates to ~1 (total CPU work is
-    // identical), so the modeled makespan is the honest basis.
-    let (basis, rate_static, rate_stealing) = if cpus >= COMPARE_WORKERS {
-        (
-            "wallclock",
-            n_homes as f64 / wall_static_s,
-            n_homes as f64 / wall_stealing_s,
-        )
-    } else {
-        (
-            "modeled_makespan",
-            n_homes as f64 / modeled_static_s,
-            n_homes as f64 / modeled_stealing_s,
-        )
-    };
-    if cpus > 1 {
-        eprintln!(
-            "steal-vs-static @ {COMPARE_WORKERS} workers: modeled {modeled_ratio:.2}x \
-             (static {modeled_static_s:.3}s vs stealing {modeled_stealing_s:.3}s), \
-             wallclock {wall_ratio:.2}x on {cpus} core(s), {steals} steals"
-        );
-    } else {
-        eprintln!(
-            "steal-vs-static @ {COMPARE_WORKERS} workers: modeled {modeled_ratio:.2}x \
-             (static {modeled_static_s:.3}s vs stealing {modeled_stealing_s:.3}s), \
-             {steals} steals; wallclock comparison skipped: both schedules do \
-             identical total work, so on 1 core the ratio only measures \
-             scheduling noise (~1.0x) and would misread as \"stealing doesn't \
-             help\" — the modeled makespan is the authoritative basis"
+    let mut neighborhood_agree = true;
+    for workers in NEIGHBORHOOD_WORKERS {
+        let result = run_fleet(n_homes, workers, NEIGHBORHOOD_SEED, |home, seed| {
+            neighborhood_home(&template, &plan, home, seed)
+        });
+        neighborhood_agree &= same_homes(
+            &format!("neighborhood @ {workers} workers"),
+            &reference,
+            &result.homes,
         );
     }
+    ok &= neighborhood_agree;
 
     // Aggregate the reference pass for outcome totals.
     let reference_fleet = FleetResult {
         homes: reference,
         workers: 1,
-        schedule: FleetSchedule::Static,
         worker_stats: Vec::new(),
     };
 
@@ -476,24 +351,22 @@ fn main() {
         (
             "description",
             Json::from(
-                "sharded multi-home driver over the §7.2 morning scenario \
+                "multi-home driver over the §7.2 morning scenario \
                  (29 routines / 31 devices per home, per-home jitter), \
                  counters-only trace sink, template-batched spec construction; \
-                 steal_vs_static compares schedules on the correlated \
-                 neighborhood-outage fleet",
+                 neighborhood cross-checks the correlated neighborhood-outage \
+                 fleet against a sequential reference pass",
             ),
         ),
         ("homes", Json::from(homes as u64)),
         ("fleet_seed", Json::from(FLEET_SEED)),
         ("available_parallelism", Json::from(cpus as u64)),
-        ("schedule", Json::from("stealing")),
         ("results", Json::Arr(rows)),
         (
             "speedup_best_multi_over_single",
             Json::Float(round3(best_multi / single_rate)),
         ),
         ("deterministic_across_workers", Json::from(deterministic)),
-        ("schedules_agree", Json::from(morning_agree)),
         ("expect_digest_change", Json::from(expect_digest_change)),
         (
             "routine_latency_ms",
@@ -506,69 +379,17 @@ fn main() {
         ),
         ("outcomes", outcomes_obj(base)),
         (
-            "steal_vs_static",
+            "neighborhood",
             obj([
                 ("scenario", Json::from("neighborhood_morning")),
                 ("homes", Json::from(n_homes as u64)),
                 ("fleet_seed", Json::from(NEIGHBORHOOD_SEED)),
-                ("workers", Json::from(COMPARE_WORKERS as u64)),
-                ("available_parallelism", Json::from(cpus as u64)),
                 ("affected_homes", Json::from(plan.affected() as u64)),
-                ("basis", Json::from(basis)),
-                ("homes_per_sec_static", Json::Float(round3(rate_static))),
-                ("homes_per_sec_stealing", Json::Float(round3(rate_stealing))),
                 (
-                    "stealing_speedup_over_static",
-                    Json::Float(round3(rate_stealing / rate_static)),
+                    "workers",
+                    Json::Arr(NEIGHBORHOOD_WORKERS.map(|w| Json::from(w as u64)).into()),
                 ),
-                (
-                    "wallclock",
-                    if cpus > 1 {
-                        obj([
-                            ("static_s", Json::Float(round3(wall_static_s))),
-                            ("stealing_s", Json::Float(round3(wall_stealing_s))),
-                            (
-                                "stealing_speedup_over_static",
-                                Json::Float(round3(wall_ratio)),
-                            ),
-                        ])
-                    } else {
-                        obj([
-                            ("skipped", Json::from(true)),
-                            (
-                                "reason",
-                                Json::from(
-                                    "available_parallelism == 1: both schedules do \
-                                     identical total work, so the wallclock ratio \
-                                     only measures scheduling noise; the modeled \
-                                     makespan below is authoritative",
-                                ),
-                            ),
-                        ])
-                    },
-                ),
-                (
-                    "modeled_makespan",
-                    obj([
-                        (
-                            "method",
-                            Json::from(
-                                "per-home costs measured sequentially; static = max \
-                                 round-robin worker sum, stealing = greedy least-loaded \
-                                 schedule (what the stealer converges to); equals the \
-                                 wall clock of a machine with >= `workers` idle cores",
-                            ),
-                        ),
-                        ("static_s", Json::Float(round3(modeled_static_s))),
-                        ("stealing_s", Json::Float(round3(modeled_stealing_s))),
-                        (
-                            "stealing_speedup_over_static",
-                            Json::Float(round3(modeled_ratio)),
-                        ),
-                    ]),
-                ),
-                ("steals", Json::from(steals)),
-                ("schedules_agree", Json::from(neighborhood_agree)),
+                ("sequential_s", Json::Float(round3(seq_elapsed))),
                 (
                     "deterministic_across_workers",
                     Json::from(neighborhood_agree),
@@ -686,8 +507,8 @@ fn main() {
     eprintln!("wrote {digest_path}");
     if !ok {
         eprintln!(
-            "FAIL: per-home results diverged across worker counts, schedules, journaling \
-             or the lint gate (or bundled homes carried lint errors)"
+            "FAIL: per-home results diverged across worker counts, journaling or the \
+             lint gate (or bundled homes carried lint errors)"
         );
         std::process::exit(1);
     }

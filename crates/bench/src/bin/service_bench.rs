@@ -8,9 +8,9 @@
 //! diurnal rate curve, fleet-seed burst windows — see
 //! `safehome_workloads::scenarios::service`) keeps submitting routines.
 //! The resident runner (`safehome_harness::run_service`) advances homes
-//! in epoch slices off per-shard timer wheels, with idle workers
-//! stealing slices across shards, so a burst in one home never starves
-//! its neighbours and a skewed shard never idles the rest of the fleet.
+//! in epoch slices off one timer wheel shared by every worker, so a
+//! burst in one home never starves its neighbours and no worker idles
+//! while a slice is due.
 //!
 //! For each load point (arrivals per home-hour) the bin records:
 //!
@@ -27,26 +27,21 @@
 //!
 //! Two further sections exercise the scale-out knobs:
 //!
-//! - `steal`: a deliberately skewed fleet (heavy homes contiguous in the
-//!   first shard) compared steal-on vs steal-off — modeled makespan from
-//!   measured per-home sequential costs (authoritative on CI's small
-//!   containers, same convention as `fleet_bench`) plus wallclock when
-//!   enough cores exist; per-home digests must agree across both
-//!   schedules.
-//! - `eviction`: the same fleet under a `max_resident` budget —
+//! - `eviction`: a calm fleet under a `max_resident` budget —
 //!   evictions, recoveries, peak residency and approximate per-home
 //!   resident vs evicted bytes; results must be byte-identical to the
 //!   never-evicted run (`digest_neutral`).
 //! - `intra_home`: a fleet led by one zoned-workshop home heavy enough
-//!   to floor the whole-home-stealing makespan, split by the lint
-//!   cluster planner into independent sub-drivers — modeled makespan
-//!   steal-only vs sub-sliced, split/fallback counts, and byte-identity
-//!   of every home against the sequential reference (`digest_neutral`).
+//!   to floor the whole-home makespan, split by the lint cluster planner
+//!   into independent sub-drivers — modeled makespan whole-home vs
+//!   sub-sliced (from measured sequential costs: authoritative on CI's
+//!   small containers), split/fallback counts, and byte-identity of
+//!   every home against the sequential reference (`digest_neutral`).
 //!
 //! Cross-checks, recorded in the JSON and enforced by exit status:
-//! per-home results byte-identical across worker counts, steal on/off
-//! and eviction on/off, and identical to the batch `run_fleet` driver
-//! on the same specs.
+//! per-home results byte-identical across worker counts and eviction
+//! on/off, and identical to the batch `run_fleet` driver on the same
+//! specs.
 //!
 //! The `service` section is *merged into* an existing `BENCH_fleet.json`
 //! at the output path when one is present (replacing any prior
@@ -74,8 +69,7 @@ use safehome_types::json::{obj, Json};
 use safehome_types::sink::RunCounters;
 use safehome_types::TimeDelta;
 use safehome_workloads::{
-    service_home, skewed_service_home, zoned_fleet_home, FleetTemplate, ServiceParams, SkewParams,
-    ZoneParams,
+    service_home, zoned_fleet_home, FleetTemplate, ServiceParams, ZoneParams,
 };
 
 /// Worker-thread counts compared per load point.
@@ -89,19 +83,11 @@ const EPOCH: TimeDelta = TimeDelta::from_secs(10);
 /// Fleet-wide burst windows drawn from the seed per load point.
 const BURSTS: usize = 2;
 
-/// Skewed-fleet steal comparison: fleet size, heavy-home count at the
-/// *front* of the fleet (so the skew lands entirely on the first
-/// contiguous shard — the worst case for static sharding), heavy-home
-/// rate multiplier, and worker count.
-const SKEW_HOMES: usize = 96;
-const SKEW_HEAVY: usize = 12;
-const SKEW_MULTIPLIER: u64 = 6;
-const SKEW_WORKERS: usize = 4;
-/// Arrival horizon and base rate of the steal/eviction sections.
-const SKEW_HORIZON_MINS: u64 = 60;
-const SKEW_RATE: u64 = 30;
+/// Fleet size and arrival horizon of the eviction section.
+const EVICT_HOMES: usize = 96;
+const EVICT_HORIZON_MINS: u64 = 60;
 /// Resident-home budget of the eviction section (1/8 of the fleet).
-const EVICT_BUDGET: usize = SKEW_HOMES / 8;
+const EVICT_BUDGET: usize = EVICT_HOMES / 8;
 /// Arrival rate of the eviction section's calm fleet. Eviction targets
 /// *cold* homes (engine quiescent between arrival clusters); at busy
 /// service rates most homes are mid-routine most of the time — morning
@@ -110,8 +96,8 @@ const EVICT_BUDGET: usize = SKEW_HOMES / 8;
 const EVICT_RATE: u64 = 6;
 
 /// Intra-home section: a zoned workshop (home 0) so heavy it dominates
-/// the whole-home-stealing makespan bound, leading an ordinary light
-/// fleet. Whole-home stealing is floored at the heaviest *home*;
+/// the whole-home makespan bound, leading an ordinary light fleet.
+/// Whole-home scheduling is floored at the heaviest *home*;
 /// cluster sub-slicing is floored at the heaviest *cluster*, a ~zones×
 /// smaller unit — that gap is the section's modeled speedup.
 const INTRA_HOMES: usize = 24;
@@ -122,25 +108,11 @@ const INTRA_WORKERS: usize = 4;
 const INTRA_RATE: u64 = 20;
 const INTRA_HORIZON_MINS: u64 = 30;
 
-/// Contiguous-shard makespan: the service runner shards homes as
-/// `w*homes/workers..(w+1)*homes/workers`, so a static (no-steal)
-/// schedule's makespan is the largest contiguous shard sum of the
-/// measured per-home costs.
-fn contiguous_static_makespan(costs: &[f64], workers: usize) -> f64 {
-    let homes = costs.len();
-    (0..workers)
-        .map(|w| {
-            costs[w * homes / workers..(w + 1) * homes / workers]
-                .iter()
-                .sum::<f64>()
-        })
-        .fold(0.0, f64::max)
-}
-
-/// Work-conserving makespan bound: epoch-slice stealing migrates work
-/// at slice granularity (a near-preemptive schedule), so it converges
-/// to `max(total/workers, max single-home cost)` — the lower bound any
-/// schedule of whole homes can only approach.
+/// Work-conserving makespan bound: workers pop epoch slices off one
+/// shared wheel, so work moves at slice granularity (a near-preemptive
+/// schedule) and converges to `max(total/workers, max single-unit
+/// cost)` — the lower bound any schedule of those units can only
+/// approach.
 fn stealing_makespan(costs: &[f64], workers: usize) -> f64 {
     let total: f64 = costs.iter().sum();
     let largest = costs.iter().cloned().fold(0.0, f64::max);
@@ -231,8 +203,8 @@ fn main() {
                 // The run still matters — it exercises the determinism
                 // cross-check below — but its wall clock measures thread
                 // oversubscription, not scheduling, so the rate fields
-                // are withheld (the steal section's modeled makespan is
-                // the authoritative parallel-speedup basis).
+                // are withheld (the intra_home section's modeled makespan
+                // is the authoritative parallel-speedup basis).
                 eprintln!(
                     "rate {rate}/h, {workers} worker(s): {homes} resident homes over \
                      {horizon_minutes} simulated minutes in {elapsed:.3}s, {} slices \
@@ -248,8 +220,8 @@ fn main() {
                     Json::from(format!(
                         "available_parallelism = {cpus} < {workers} workers: the \
                          wallclock rate measures thread oversubscription, not \
-                         scheduling; the steal section's modeled makespan is the \
-                         authoritative parallel-speedup basis"
+                         scheduling; the intra_home section's modeled makespan is \
+                         the authoritative parallel-speedup basis"
                     )),
                 ));
             } else {
@@ -326,180 +298,6 @@ fn main() {
     }
     ok &= deterministic && matches_batch;
 
-    // ---- Steal section: deliberately skewed fleet ------------------
-    //
-    // The heavy homes sit contiguously at the front, i.e. entirely
-    // inside the first shard(s) — the worst realistic case for the
-    // static contiguous sharding and the one epoch-slice stealing is
-    // meant to repair.
-    let skew = SkewParams::new(
-        ServiceParams::new(TimeDelta::from_mins(SKEW_HORIZON_MINS), SKEW_RATE)
-            .with_bursts_from_seed(SERVICE_SEED, BURSTS),
-        SKEW_HEAVY,
-        SKEW_MULTIPLIER,
-    );
-    let skew_spec = |home: usize, seed: u64| skewed_service_home(&template, &skew, home, seed);
-
-    // Per-home sequential cost pass; doubles as the reference result
-    // for the digest cross-checks below.
-    let mut costs = Vec::with_capacity(SKEW_HOMES);
-    let mut reference = Vec::with_capacity(SKEW_HOMES);
-    for home in 0..SKEW_HOMES {
-        let seed = home_seed(SERVICE_SEED, home as u64);
-        let start = Instant::now();
-        let spec = skew_spec(home, seed);
-        let mut driver = Driver::with_sink(&spec, RunCounters::new());
-        let completed = driver.run_to_quiescence();
-        let (counters, _, _) = driver.into_output();
-        costs.push(start.elapsed().as_secs_f64());
-        assert!(completed, "skewed home {home} failed to quiesce");
-        reference.push(HomeRun {
-            home,
-            seed,
-            completed,
-            counters,
-        });
-    }
-    let total_cost: f64 = costs.iter().sum();
-    let heavy_cost: f64 = costs[..SKEW_HEAVY].iter().sum();
-    let modeled_static_s = contiguous_static_makespan(&costs, SKEW_WORKERS);
-    let modeled_stealing_s = stealing_makespan(&costs, SKEW_WORKERS);
-    let modeled_ratio = modeled_static_s / modeled_stealing_s;
-    eprintln!(
-        "steal: {SKEW_HOMES} homes ({SKEW_HEAVY} heavy at {SKEW_MULTIPLIER}x), sequential \
-         pass {total_cost:.3}s, heavy fraction {:.2}",
-        heavy_cost / total_cost
-    );
-
-    let start = Instant::now();
-    let steal_on = run_service_with(
-        SKEW_HOMES,
-        SKEW_WORKERS,
-        SERVICE_SEED,
-        ServiceConfig::new(EPOCH),
-        skew_spec,
-    );
-    let wall_stealing_s = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let steal_off = run_service_with(
-        SKEW_HOMES,
-        SKEW_WORKERS,
-        SERVICE_SEED,
-        ServiceConfig::new(EPOCH).with_steal(false),
-        skew_spec,
-    );
-    let wall_static_s = start.elapsed().as_secs_f64();
-    let steals: u64 = steal_on.steals();
-    let schedules_agree = same_homes("steal on", &reference, &steal_on.homes)
-        & same_homes("steal off", &reference, &steal_off.homes);
-    ok &= schedules_agree;
-    if cpus >= SKEW_WORKERS {
-        eprintln!(
-            "steal-vs-static @ {SKEW_WORKERS} workers: modeled {modeled_ratio:.2}x \
-             (static {modeled_static_s:.3}s vs stealing {modeled_stealing_s:.3}s), \
-             wallclock {:.2}x on {cpus} core(s), {steals} steals",
-            wall_static_s / wall_stealing_s
-        );
-    } else {
-        eprintln!(
-            "steal-vs-static @ {SKEW_WORKERS} workers: modeled {modeled_ratio:.2}x \
-             (static {modeled_static_s:.3}s vs stealing {modeled_stealing_s:.3}s), \
-             {steals} steals; wallclock comparison skipped: only {cpus} core(s), \
-             both schedules do identical total work so the ratio only measures \
-             scheduling noise — the modeled makespan is authoritative"
-        );
-    }
-    let steal_section = obj([
-        (
-            "description",
-            Json::from(
-                "epoch-slice work stealing on a deliberately skewed fleet: the heavy \
-                 homes sit contiguously in the first shard, so a static schedule is \
-                 bottlenecked on it while the other workers idle; stealing migrates \
-                 slices (never homes) and must leave per-home results byte-identical",
-            ),
-        ),
-        ("homes", Json::from(SKEW_HOMES as u64)),
-        ("heavy_homes", Json::from(SKEW_HEAVY as u64)),
-        ("heavy_multiplier", Json::from(SKEW_MULTIPLIER)),
-        ("workers", Json::from(SKEW_WORKERS as u64)),
-        ("rate_per_home_hour", Json::from(SKEW_RATE)),
-        ("horizon_minutes", Json::from(SKEW_HORIZON_MINS)),
-        ("sequential_cost_s", Json::Float(round3(total_cost))),
-        (
-            "heavy_cost_fraction",
-            Json::Float(round3(heavy_cost / total_cost)),
-        ),
-        (
-            "wallclock",
-            if cpus >= SKEW_WORKERS {
-                obj([
-                    ("static_s", Json::Float(round3(wall_static_s))),
-                    ("stealing_s", Json::Float(round3(wall_stealing_s))),
-                    (
-                        "stealing_speedup_over_static",
-                        Json::Float(round3(wall_static_s / wall_stealing_s)),
-                    ),
-                ])
-            } else {
-                obj([
-                    ("skipped", Json::from(true)),
-                    (
-                        "reason",
-                        Json::from(format!(
-                            "available_parallelism = {cpus} < {SKEW_WORKERS} workers: \
-                             both schedules do identical total work, so the wallclock \
-                             ratio only measures scheduling noise; the modeled makespan \
-                             is authoritative"
-                        )),
-                    ),
-                ])
-            },
-        ),
-        (
-            "modeled_makespan",
-            obj([
-                (
-                    "method",
-                    Json::from(
-                        "per-home costs measured sequentially; static = largest \
-                         contiguous shard sum (the service runner's sharding), \
-                         stealing = work-conserving bound max(total/workers, max \
-                         single home) which epoch-slice migration converges to; \
-                         equals the wall clock of a machine with >= `workers` idle \
-                         cores",
-                    ),
-                ),
-                ("static_s", Json::Float(round3(modeled_static_s))),
-                ("stealing_s", Json::Float(round3(modeled_stealing_s))),
-                (
-                    "stealing_speedup_over_static",
-                    Json::Float(round3(modeled_ratio)),
-                ),
-            ]),
-        ),
-        ("steals", Json::from(steals)),
-        (
-            "worker_stats",
-            Json::Arr(
-                steal_on
-                    .worker_stats
-                    .iter()
-                    .enumerate()
-                    .map(|(w, s)| {
-                        obj([
-                            ("worker", Json::from(w as u64)),
-                            ("slices_run", Json::from(s.slices_run)),
-                            ("steals", Json::from(s.steals)),
-                            ("homes_finished", Json::from(s.homes_run as u64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("schedules_agree", Json::from(schedules_agree)),
-    ]);
-
     // ---- Eviction section: bounded residency on a calm fleet -------
     //
     // A separate low-rate fleet: eviction binds *cold* homes, and at
@@ -507,10 +305,10 @@ fn main() {
     // across epoch boundaries — catalog routines hold actuations for
     // minutes). The calm overnight shape is where a resident budget
     // pays off, and where the peak-residency number is meaningful.
-    let evict_params = ServiceParams::new(TimeDelta::from_mins(SKEW_HORIZON_MINS), EVICT_RATE);
+    let evict_params = ServiceParams::new(TimeDelta::from_mins(EVICT_HORIZON_MINS), EVICT_RATE);
     let evict_spec = |_: usize, seed: u64| service_home(&template, &evict_params, seed);
     let unbounded = run_service_with(
-        SKEW_HOMES,
+        EVICT_HOMES,
         2,
         SERVICE_SEED,
         ServiceConfig::new(EPOCH),
@@ -518,7 +316,7 @@ fn main() {
     );
     let start = Instant::now();
     let evicted = run_service_with(
-        SKEW_HOMES,
+        EVICT_HOMES,
         2,
         SERVICE_SEED,
         ServiceConfig::new(EPOCH).with_max_resident(EVICT_BUDGET),
@@ -528,7 +326,7 @@ fn main() {
     let digest_neutral = same_homes("eviction", &unbounded.homes, &evicted.homes);
     ok &= digest_neutral;
     eprintln!(
-        "eviction: budget {EVICT_BUDGET}/{SKEW_HOMES} resident homes at {EVICT_RATE}/h: \
+        "eviction: budget {EVICT_BUDGET}/{EVICT_HOMES} resident homes at {EVICT_RATE}/h: \
          peak {} (vs {} unbounded), {} evictions, {} recoveries, ~{} resident vs ~{} \
          evicted bytes/home, digest-neutral: {digest_neutral}",
         evicted.peak_resident_homes,
@@ -549,10 +347,10 @@ fn main() {
                  to a never-evicted run (digest_neutral)",
             ),
         ),
-        ("homes", Json::from(SKEW_HOMES as u64)),
+        ("homes", Json::from(EVICT_HOMES as u64)),
         ("workers", Json::from(2u64)),
         ("rate_per_home_hour", Json::from(EVICT_RATE)),
-        ("horizon_minutes", Json::from(SKEW_HORIZON_MINS)),
+        ("horizon_minutes", Json::from(EVICT_HORIZON_MINS)),
         ("max_resident", Json::from(EVICT_BUDGET as u64)),
         ("elapsed_s", Json::Float(round3(evict_elapsed))),
         ("evictions", Json::from(evicted.evictions)),
@@ -578,12 +376,12 @@ fn main() {
 
     // ---- Intra-home section: conflict-clustered sub-slicing --------
     //
-    // One zoned workshop so heavy that whole-home stealing is floored
+    // One zoned workshop so heavy that whole-home scheduling is floored
     // at its sequential cost, leading an ordinary light fleet. The lint
     // cluster planner splits it into `INTRA_ZONES` independent
-    // sub-drivers whose slices steal like whole-home slices, so the
-    // makespan floor drops to the heaviest *cluster* — while per-home
-    // results stay byte-identical to the sequential run.
+    // sub-drivers whose slices any worker pops like whole-home slices,
+    // so the makespan floor drops to the heaviest *cluster* — while
+    // per-home results stay byte-identical to the sequential run.
     let intra_base = ServiceParams::new(TimeDelta::from_mins(INTRA_HORIZON_MINS), INTRA_RATE);
     let intra_zone = ZoneParams::new(INTRA_ZONES, TimeDelta::from_mins(10), INTRA_RPZ);
     let intra_spec =
@@ -625,7 +423,7 @@ fn main() {
     let intra_total: f64 = intra_costs.iter().sum();
     let heavy_cost = intra_costs[0];
     let max_cluster_cost = cluster_costs.iter().cloned().fold(0.0, f64::max);
-    // Whole-home stealing's floor is the heaviest home; sub-slicing
+    // Whole-home scheduling's floor is the heaviest home; sub-slicing
     // replaces that home's cost with its per-cluster costs and the
     // floor drops to the heaviest schedulable unit.
     let modeled_steal_only_s = stealing_makespan(&intra_costs, INTRA_WORKERS);
@@ -717,7 +515,7 @@ fn main() {
             Json::from(
                 "deterministic intra-home parallelism: the lint cluster planner splits \
                  a zoned workshop into disjoint conflict clusters, each an independent \
-                 sub-driver whose epoch slices steal like whole-home slices; the merge \
+                 sub-driver whose epoch slices any worker pops like whole-home slices; the merge \
                  reconstructs the sequential pop order, so per-home counters and \
                  digests are byte-identical to the sequential run while the makespan \
                  floor drops from the heaviest home to the heaviest cluster",
@@ -767,11 +565,11 @@ fn main() {
             Json::from(
                 "resident-fleet service mode: open-loop Poisson arrivals \
                  (diurnal curve + seeded burst windows) over resident homes, \
-                 advanced in epoch slices off per-shard timer wheels with \
-                 idle-worker slice stealing; latency percentiles are \
-                 simulated-time milliseconds from the constant-memory fleet \
-                 histogram (machine-independent); determinism, batch-parity, \
-                 steal-digest and eviction-digest cross-checks are enforced",
+                 advanced in epoch slices off one shared timer wheel; latency \
+                 percentiles are simulated-time milliseconds from the \
+                 constant-memory fleet histogram (machine-independent); \
+                 determinism, batch-parity and eviction-digest cross-checks \
+                 are enforced",
             ),
         ),
         ("homes", Json::from(homes as u64)),
@@ -783,7 +581,6 @@ fn main() {
         ("deterministic_across_workers", Json::from(deterministic)),
         ("matches_batch_fleet", Json::from(matches_batch)),
         ("load_points", Json::Arr(load_rows)),
-        ("steal", steal_section),
         ("eviction", eviction_section),
         ("intra_home", intra_section),
     ]);

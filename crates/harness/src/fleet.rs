@@ -1,36 +1,28 @@
-//! Sharded multi-home fleet driver.
+//! Multi-home fleet driver.
 //!
 //! Each home's engine is fully independent state (the home is the natural
-//! sharding unit), so fleet-scale throughput is embarrassingly parallel:
-//! [`run_fleet`] spreads `homes` independent runs across worker threads,
-//! each with its own [`Driver`], event queue and counters-only sink, and
-//! collects per-home results over an `mpsc` channel.
+//! unit of parallelism), so fleet-scale throughput is embarrassingly
+//! parallel: [`run_fleet`] spreads `homes` independent runs across worker
+//! threads, each with its own [`Driver`], event queue and counters-only
+//! sink.
 //!
-//! Two schedules ([`FleetSchedule`]):
-//!
-//! - [`FleetSchedule::Static`] — home `i` runs on worker `i % workers`
-//!   (the original round-robin sharding). Optimal when homes cost about
-//!   the same; on heterogeneous fleets the worker that drew the
-//!   failure-heavy homes (~10× the events of a clean home) finishes long
-//!   after the rest have gone idle.
-//! - [`FleetSchedule::Stealing`] — the default: a sharded injector of
-//!   home indices (one lock-free cursor per worker over a contiguous
-//!   range) feeding per-worker LIFO deques, with random-victim stealing
-//!   once a worker's own shard runs dry. Built on `std::sync` only.
+//! Scheduling is one shared home cursor: every worker claims the next
+//! unclaimed home index, runs it to quiescence, and claims again until
+//! the cursor passes the end. That is greedy list scheduling — a worker
+//! only idles once every home has been claimed — so a failure-heavy home
+//! (~10× the events of a clean one) delays only the worker running it.
+//! Homes never spawn work, so nothing is ever queued behind a busy
+//! worker and there is nothing to steal.
 //!
 //! Determinism: a home's seed is derived only from the fleet seed and the
 //! home index ([`home_seed`]), and homes never share mutable state, so
 //! per-home results are byte-identical regardless of the worker-thread
-//! count *and* of the schedule — which worker runs a home changes
-//! nothing about the home. [`FleetResult::worker_stats`] is the only
-//! scheduling-dependent output and is excluded from every determinism
-//! comparison.
+//! count — which worker runs a home changes nothing about the home.
+//! [`FleetResult::worker_stats`] is the only scheduling-dependent output
+//! and is excluded from every determinism comparison.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
 
-use safehome_sim::SimRng;
 use safehome_types::sink::{self, RunCounters};
 
 use crate::sim::Driver;
@@ -47,17 +39,6 @@ pub fn home_seed(fleet_seed: u64, home: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// How homes are assigned to worker threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FleetSchedule {
-    /// Round-robin: home `i` runs on worker `i % workers`.
-    Static,
-    /// Work stealing: per-worker shard cursors + LIFO deques with
-    /// random-victim stealing. The default.
-    #[default]
-    Stealing,
-}
-
 /// Per-worker scheduling statistics. Scheduling-dependent (unlike the
 /// per-home results), so informational only: never compare these across
 /// runs. Shared with the resident service runner, whose unit of work is
@@ -67,10 +48,9 @@ pub struct WorkerStats {
     /// Homes this worker ran (batch fleet: ran to quiescence; service:
     /// observed finishing on this worker).
     pub homes_run: usize,
-    /// Successful steals: batches taken from another worker's shard
-    /// cursor or deque (batch fleet), or slices popped from a victim
-    /// shard's wheel (service). Always 0 under [`FleetSchedule::Static`]
-    /// and with service stealing off.
+    /// Service only: slices this worker ran for a unit that another
+    /// worker built. Always 0 for the batch fleet driver and for a
+    /// single worker.
     pub steals: u64,
     /// Epoch slices this worker executed. Always 0 for the batch fleet
     /// driver, which has no slicing.
@@ -97,8 +77,6 @@ pub struct FleetResult {
     pub homes: Vec<HomeRun>,
     /// Worker threads used.
     pub workers: usize,
-    /// The schedule that produced this result.
-    pub schedule: FleetSchedule,
     /// Per-worker scheduling statistics (informational; see
     /// [`WorkerStats`]).
     pub worker_stats: Vec<WorkerStats>,
@@ -163,44 +141,55 @@ where
     }
 }
 
-/// One worker's contiguous slice of the home-index injector: a lock-free
-/// cursor over `[next, end)`. The owner claims batches in index order;
-/// thieves claim from it exactly the same way once their own shard runs
-/// dry.
-struct Shard {
-    next: AtomicUsize,
-    end: usize,
-}
-
-impl Shard {
-    /// Claims up to `batch` consecutive home indices, or `None` when the
-    /// shard is exhausted.
-    fn claim(&self, batch: usize) -> Option<std::ops::Range<usize>> {
-        let start = self.next.fetch_add(batch, Ordering::Relaxed);
-        if start >= self.end {
-            return None;
-        }
-        Some(start..(start + batch).min(self.end))
-    }
-}
-
-/// Runs `homes` independent homes across `workers` threads under the
-/// default [`FleetSchedule::Stealing`] schedule.
+/// Runs `homes` independent homes across `workers` threads.
 ///
 /// `make_spec(home, seed)` builds home `home`'s spec from its derived
-/// seed; it runs on the worker threads, so it must be `Sync`. Results
-/// return over an `mpsc` channel and are re-sorted by home index.
+/// seed; it runs on the worker threads, so it must be `Sync`. Each worker
+/// claims homes from one shared cursor and keeps its own results; they
+/// are concatenated and sorted by home index at the end.
 pub fn run_fleet<F>(homes: usize, workers: usize, fleet_seed: u64, make_spec: F) -> FleetResult
 where
     F: Fn(usize, u64) -> RunSpec + Sync,
 {
-    run_fleet_with(
+    let workers = workers.clamp(1, homes.max(1));
+    let next = AtomicUsize::new(0);
+    let (next, make_spec) = (&next, &make_spec);
+    let per_worker: Vec<(Vec<HomeRun>, WorkerStats)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut runs = Vec::new();
+                    loop {
+                        // Relaxed: the cursor publishes no data; results
+                        // come back through the join.
+                        let home = next.fetch_add(1, Ordering::Relaxed);
+                        if home >= homes {
+                            break;
+                        }
+                        runs.push(run_home(home, fleet_seed, make_spec));
+                    }
+                    let stats = WorkerStats {
+                        homes_run: runs.len(),
+                        ..WorkerStats::default()
+                    };
+                    (runs, stats)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("fleet worker panicked"))
+            .collect()
+    });
+    let (runs, worker_stats): (Vec<Vec<HomeRun>>, Vec<WorkerStats>) =
+        per_worker.into_iter().unzip();
+    let mut homes: Vec<HomeRun> = runs.into_iter().flatten().collect();
+    homes.sort_by_key(|h| h.home);
+    FleetResult {
         homes,
         workers,
-        fleet_seed,
-        FleetSchedule::default(),
-        make_spec,
-    )
+        worker_stats,
+    }
 }
 
 /// A spec the pre-run gate refused: which home, its derived seed, and
@@ -226,7 +215,7 @@ impl std::fmt::Display for SpecRejection {
     }
 }
 
-/// [`run_fleet_with`] behind a pre-run spec gate: every home's spec is
+/// [`run_fleet`] behind a pre-run spec gate: every home's spec is
 /// validated (serially, in home order) *before* any home executes, and
 /// the first rejection aborts the whole fleet with nothing run. The
 /// canonical gate is `safehome-lint`'s Error-severity check
@@ -235,13 +224,12 @@ impl std::fmt::Display for SpecRejection {
 ///
 /// Gating never perturbs execution: an accepted fleet's per-home results
 /// — digests included — are byte-identical to the ungated
-/// [`run_fleet_with`] (specs are rebuilt from the same seeds, and the
+/// [`run_fleet`] (specs are rebuilt from the same seeds, and the
 /// gate only reads them).
 pub fn run_fleet_gated<F, G>(
     homes: usize,
     workers: usize,
     fleet_seed: u64,
-    schedule: FleetSchedule,
     gate: G,
     make_spec: F,
 ) -> Result<FleetResult, SpecRejection>
@@ -258,167 +246,7 @@ where
             message,
         })?;
     }
-    Ok(run_fleet_with(
-        homes, workers, fleet_seed, schedule, make_spec,
-    ))
-}
-
-/// [`run_fleet`] with an explicit schedule. `Static` and `Stealing`
-/// produce byte-identical [`FleetResult::homes`] — the schedule only
-/// decides which worker runs which home, never what a home does.
-pub fn run_fleet_with<F>(
-    homes: usize,
-    workers: usize,
-    fleet_seed: u64,
-    schedule: FleetSchedule,
-    make_spec: F,
-) -> FleetResult
-where
-    F: Fn(usize, u64) -> RunSpec + Sync,
-{
-    let workers = workers.clamp(1, homes.max(1));
-    let (tx, rx) = mpsc::channel::<HomeRun>();
-    let make_spec = &make_spec;
-
-    // Batches claimed from a shard cursor: big enough to amortize the
-    // claim, small enough that the tail of a shard stays stealable.
-    let batch = (homes / (workers * 8).max(1)).clamp(1, 32);
-    let shards: Vec<Shard> = (0..workers)
-        .map(|w| {
-            // Contiguous near-equal split of 0..homes.
-            let lo = w * homes / workers;
-            let hi = (w + 1) * homes / workers;
-            Shard {
-                next: AtomicUsize::new(lo),
-                end: hi,
-            }
-        })
-        .collect();
-    let deques: Vec<Mutex<VecDeque<usize>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    let shards = &shards;
-    let deques = &deques;
-
-    let worker_stats = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let tx = tx.clone();
-                scope.spawn(move || {
-                    let mut stats = WorkerStats::default();
-                    match schedule {
-                        FleetSchedule::Static => {
-                            for home in (w..homes).step_by(workers) {
-                                let _ = tx.send(run_home(home, fleet_seed, make_spec));
-                                stats.homes_run += 1;
-                            }
-                        }
-                        FleetSchedule::Stealing => {
-                            steal_loop(
-                                w, workers, batch, fleet_seed, shards, deques, &tx, make_spec,
-                                &mut stats,
-                            );
-                        }
-                    }
-                    stats
-                })
-            })
-            .collect();
-        drop(tx);
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fleet worker panicked"))
-            .collect::<Vec<WorkerStats>>()
-    });
-    let mut results: Vec<HomeRun> = rx.iter().collect();
-    results.sort_by_key(|h| h.home);
-    FleetResult {
-        homes: results,
-        workers,
-        schedule,
-        worker_stats,
-    }
-}
-
-/// The work-stealing worker loop: own deque (LIFO) → own shard cursor →
-/// victims in pseudo-random rotation (their shard cursor, then half their
-/// deque from the FIFO end). Exits when a full sweep finds no work: homes
-/// never spawn homes, so once every shard and deque is empty the only
-/// remaining work is the at-most-one home each worker already holds in
-/// hand. (A thief can race a claimed-but-not-yet-queued batch and exit a
-/// moment early; the owner still runs that batch, so no work is lost.)
-#[allow(clippy::too_many_arguments)]
-fn steal_loop<F>(
-    w: usize,
-    workers: usize,
-    batch: usize,
-    fleet_seed: u64,
-    shards: &[Shard],
-    deques: &[Mutex<VecDeque<usize>>],
-    tx: &mpsc::Sender<HomeRun>,
-    make_spec: &F,
-    stats: &mut WorkerStats,
-) where
-    F: Fn(usize, u64) -> RunSpec + Sync,
-{
-    // Victim order only shapes scheduling, never results; seed it off the
-    // fleet seed and worker index so runs are reproducible under a
-    // deterministic thread interleaving too.
-    let mut rng = SimRng::seed_from_u64(fleet_seed ^ (w as u64).wrapping_mul(0xA55));
-    loop {
-        // 1. Own deque, LIFO end (best locality with freshly queued work).
-        let local = deques[w].lock().expect("deque poisoned").pop_back();
-        if let Some(home) = local {
-            let _ = tx.send(run_home(home, fleet_seed, make_spec));
-            stats.homes_run += 1;
-            continue;
-        }
-        // 2. Own shard cursor: run the first claimed home, queue the rest.
-        if let Some(range) = shards[w].claim(batch) {
-            let mut it = range;
-            let first = it.next().expect("claimed range is non-empty");
-            if !it.is_empty() {
-                deques[w].lock().expect("deque poisoned").extend(it);
-            }
-            let _ = tx.send(run_home(first, fleet_seed, make_spec));
-            stats.homes_run += 1;
-            continue;
-        }
-        // 3. Steal: sweep every victim exactly once, starting at a
-        // random one — the rotation runs over the `workers - 1` non-self
-        // offsets, so no victim is ever skipped.
-        let r = if workers > 1 {
-            rng.index(workers - 1)
-        } else {
-            0
-        };
-        let mut stolen: Option<Vec<usize>> = None;
-        for i in 0..workers.saturating_sub(1) {
-            let v = (w + 1 + (r + i) % (workers - 1)) % workers;
-            if let Some(range) = shards[v].claim(batch) {
-                stolen = Some(range.collect());
-                break;
-            }
-            let mut dq = deques[v].lock().expect("deque poisoned");
-            let take = dq.len().div_ceil(2);
-            if take > 0 {
-                // Steal from the FIFO end — the owner keeps the LIFO end.
-                stolen = Some(dq.drain(..take).collect());
-                break;
-            }
-        }
-        let Some(grabbed) = stolen else {
-            return; // Injector drained and every deque empty.
-        };
-        stats.steals += 1;
-        if grabbed.len() > 1 {
-            deques[w]
-                .lock()
-                .expect("deque poisoned")
-                .extend(&grabbed[1..]);
-        }
-        let _ = tx.send(run_home(grabbed[0], fleet_seed, make_spec));
-        stats.homes_run += 1;
-    }
+    Ok(run_fleet(homes, workers, fleet_seed, make_spec))
 }
 
 #[cfg(test)]
@@ -462,9 +290,65 @@ mod tests {
             let other = run_fleet(9, workers, 42, tiny_home);
             assert_eq!(
                 base.homes, other.homes,
-                "per-home results must not depend on sharding ({workers} workers)"
+                "per-home results must not depend on the worker count ({workers} workers)"
             );
             assert_eq!(base.digest(), other.digest());
+        }
+    }
+
+    /// The shared-cursor schedule against a static one: every home run
+    /// in index order on the calling thread, with no scheduler at all.
+    #[test]
+    fn stealing_matches_static_per_home_and_digest() {
+        let reference = FleetResult {
+            homes: (0..13).map(|h| run_home(h, 77, &tiny_home)).collect(),
+            workers: 1,
+            worker_stats: Vec::new(),
+        };
+        assert!(reference.all_completed());
+        for workers in [1, 2, 3, 4, 13] {
+            let other = run_fleet(13, workers, 77, tiny_home);
+            assert_eq!(
+                reference.homes, other.homes,
+                "{workers} workers must match the in-order single-thread run"
+            );
+            assert_eq!(reference.digest(), other.digest());
+            assert_eq!(other.worker_stats.len(), workers);
+            assert_eq!(
+                other
+                    .worker_stats
+                    .iter()
+                    .map(|s| s.homes_run)
+                    .sum::<usize>(),
+                13,
+                "every home is run exactly once ({workers} workers)"
+            );
+        }
+    }
+
+    #[test]
+    fn static_schedule_never_steals() {
+        // The batch driver has no stealing and no slicing, at any width.
+        let fleet = run_fleet(8, 4, 3, tiny_home);
+        assert!(fleet
+            .worker_stats
+            .iter()
+            .all(|s| s.steals == 0 && s.slices_run == 0));
+        // A single worker takes every home in turn.
+        let single = run_fleet(8, 1, 3, tiny_home);
+        assert_eq!(single.worker_stats.len(), 1);
+        assert_eq!(single.worker_stats[0].homes_run, 8);
+        assert_eq!(single.worker_stats[0].steals, 0);
+    }
+
+    #[test]
+    fn empty_fleet_is_fine_under_both_schedules() {
+        // One worker and many workers both reduce to an empty result.
+        for workers in [1, 4] {
+            let fleet = run_fleet(0, workers, 1, tiny_home);
+            assert!(fleet.homes.is_empty());
+            assert_eq!(fleet.workers, 1, "workers clamp to at least one");
+            assert!(fleet.all_completed(), "vacuously true");
         }
     }
 
@@ -486,58 +370,13 @@ mod tests {
     }
 
     #[test]
-    fn stealing_matches_static_per_home_and_digest() {
-        let reference = run_fleet_with(13, 1, 77, FleetSchedule::Static, tiny_home);
-        assert!(reference.all_completed());
-        for schedule in [FleetSchedule::Static, FleetSchedule::Stealing] {
-            for workers in [1, 2, 3, 4, 13] {
-                let other = run_fleet_with(13, workers, 77, schedule, tiny_home);
-                assert_eq!(
-                    reference.homes, other.homes,
-                    "{schedule:?} at {workers} workers must match the static single-thread run"
-                );
-                assert_eq!(reference.digest(), other.digest());
-                assert_eq!(other.schedule, schedule);
-                assert_eq!(
-                    other
-                        .worker_stats
-                        .iter()
-                        .map(|s| s.homes_run)
-                        .sum::<usize>(),
-                    13,
-                    "every home is run exactly once ({schedule:?}, {workers} workers)"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn static_schedule_never_steals() {
-        let fleet = run_fleet_with(8, 4, 3, FleetSchedule::Static, tiny_home);
-        assert!(fleet.worker_stats.iter().all(|s| s.steals == 0));
-        // Round-robin: every worker gets exactly its stride share.
-        assert!(fleet.worker_stats.iter().all(|s| s.homes_run == 2));
-    }
-
-    #[test]
-    fn empty_fleet_is_fine_under_both_schedules() {
-        for schedule in [FleetSchedule::Static, FleetSchedule::Stealing] {
-            let fleet = run_fleet_with(0, 4, 1, schedule, tiny_home);
-            assert!(fleet.homes.is_empty());
-            assert_eq!(fleet.workers, 1, "workers clamp to at least one");
-            assert!(fleet.all_completed(), "vacuously true");
-        }
-    }
-
-    #[test]
     fn gated_fleet_matches_ungated_when_gate_accepts() {
-        let plain = run_fleet_with(9, 2, 42, FleetSchedule::Stealing, tiny_home);
+        let plain = run_fleet(9, 2, 42, tiny_home);
         let gated_specs = std::sync::atomic::AtomicUsize::new(0);
         let gated = run_fleet_gated(
             9,
             2,
             42,
-            FleetSchedule::Stealing,
             |_, spec| {
                 gated_specs.fetch_add(spec.submissions.len(), std::sync::atomic::Ordering::Relaxed);
                 Ok(())
@@ -559,7 +398,6 @@ mod tests {
             5,
             2,
             42,
-            FleetSchedule::Static,
             |home, _| {
                 if home == 3 {
                     Err("synthetic gate failure".into())

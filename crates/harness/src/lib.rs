@@ -17,9 +17,11 @@
 //!
 //! Two entry points: [`run`] drives one spec to quiescence and returns
 //! its full trace; [`fleet::run_fleet`] spreads many independent homes
-//! across worker threads — statically sharded or work-stealing
-//! ([`fleet::FleetSchedule`]) — with counters-only sinks for fleet-scale
-//! throughput.
+//! across worker threads, which claim them from one shared cursor, with
+//! counters-only sinks for fleet-scale throughput.
+//! [`service::run_service`] keeps every home resident and advances them
+//! in epoch slices popped from one shared timer wheel, optionally
+//! evicting cold homes to their journals.
 //!
 //! Pre-run validation: [`sim::Driver::with_sink_checked`] and
 //! [`fleet::run_fleet_gated`] accept a caller-supplied gate that inspects
@@ -41,8 +43,7 @@ pub mod sim;
 pub mod spec;
 
 pub use fleet::{
-    home_seed, run_fleet, run_fleet_gated, run_fleet_with, FleetResult, FleetSchedule, HomeRun,
-    SpecRejection, WorkerStats,
+    home_seed, run_fleet, run_fleet_gated, FleetResult, HomeRun, SpecRejection, WorkerStats,
 };
 pub use intra::{
     build_sub_specs, merge_sub_runs, run_clustered, spec_decomposable, HomePartition, IntraPlanner,
@@ -50,6 +51,6 @@ pub use intra::{
 };
 pub use journal::{recover, InflightWrite, Recovered, RecoveryReport, ReplayBackend};
 pub use runtime::{Backend, CommandOutcome, HomeRuntime, HomeTables, Polled, RuntimeCore, Step};
-pub use service::{run_service, run_service_with, EvictionPolicy, ServiceConfig, ServiceResult};
+pub use service::{run_service, run_service_with, ServiceConfig, ServiceResult};
 pub use sim::{home_pool_stats, run, Driver, HomePoolStats, RunOutput, SimBackend};
 pub use spec::{Arrival, RunSpec, Submission};

@@ -1,5 +1,5 @@
-//! Resident-fleet service runner: time-sliced open-loop execution with
-//! work stealing and journal-backed eviction.
+//! Resident-fleet service runner: time-sliced open-loop execution over
+//! one shared timer wheel, with journal-backed eviction.
 //!
 //! [`fleet::run_fleet`](crate::fleet::run_fleet) is a batch driver: a
 //! worker picks a home, runs it to quiescence, and only then picks the
@@ -8,41 +8,39 @@
 //! the whole day, and traffic arrives open-loop, so no single home may
 //! monopolize a worker while the rest fall behind.
 //!
-//! [`run_service`] keeps all of a worker's homes alive at once and
-//! advances them in **epoch slices**: each worker owns a contiguous
-//! shard of homes and a shard timer wheel ([`EventQueue`]) of
-//! `(next-event-time, home)` entries. The worker pops the earliest
-//! entry, advances that home only through events due before the next
+//! [`run_service`] keeps every home alive at once and advances them in
+//! **epoch slices**: all workers share one timer wheel ([`EventQueue`])
+//! of `(next-event-time, unit)` entries. A worker pops the earliest
+//! entry, advances that unit only through events due before the next
 //! epoch boundary, then re-parks it at its next pending event. A home
 //! with an hour-long gap costs nothing during the gap; a home in a
 //! burst gets exactly one epoch of attention before its neighbours run.
 //!
-//! # Work stealing
+//! # One shared wheel
 //!
-//! The shard wheels are shared behind cheap mutexes: when a worker's own
-//! wheel is empty ([`ServiceConfig::steal`], the default), it sweeps the
-//! other shards and steals the earliest parked `(next-event-time, home)`
-//! entry, stepping that home through exactly one epoch slice the way the
-//! owner would, then re-parking it **into its home shard**. Homes never
-//! migrate — only slices do — so a skewed fleet (one burst-heavy "giant
-//! factory" home per shard) no longer stalls a whole worker while its
-//! siblings idle.
+//! Each worker builds a contiguous range of homes on its own thread (so
+//! their simulator state comes from that thread's pool), parks them on
+//! the wheel, and waits at a barrier until every home is parked. From
+//! then on any idle worker takes the globally earliest slice, whichever
+//! worker built its unit, so a skewed fleet (a few burst-heavy "giant
+//! factory" homes) never stalls one worker while the others idle.
+//! [`ServiceResult::steals`] counts the slices a worker ran for a unit
+//! another worker built.
 //!
 //! # Determinism
 //!
-//! Stealing cannot perturb results because each home's slice sequence is
-//! an intrinsic function of the home alone. A slice pops a home, runs it
-//! up to the next absolute epoch boundary **after the home's own
-//! earliest pending event**, and re-parks it at its next event: both the
-//! boundary and the re-park time come from the home's private event
-//! queue, never from the shard wheel's clock. The wheel is purely an
-//! advisory scheduler — concurrent pops can clamp a re-parked entry's
-//! *wheel* timestamp forward ([`EventQueue`] never schedules in its
-//! past), which may reorder slices *between* homes, but homes share no
-//! state, so per-home counters, digests and even the total slice count
-//! are byte-identical across worker counts, steal on/off and any
-//! interleaving (asserted by tests here and by
-//! `tests/service_equivalence.rs`).
+//! Which worker runs a slice cannot perturb results because each home's
+//! slice sequence is an intrinsic function of the home alone. A slice
+//! pops a unit, runs it up to the next absolute epoch boundary **after
+//! the unit's own earliest pending event**, and re-parks it at its next
+//! event: both the boundary and the re-park time come from the unit's
+//! private event queue, never from the wheel's clock. The wheel is
+//! purely an advisory scheduler — concurrent pops can clamp a re-parked
+//! entry's *wheel* timestamp forward ([`EventQueue`] never schedules in
+//! its past), which may reorder slices *between* homes, but homes share
+//! no state, so per-home counters, digests and even the total slice
+//! count are byte-identical across worker counts and any interleaving
+//! (asserted by tests here and by `tests/service_equivalence.rs`).
 //!
 //! # Journal-backed eviction
 //!
@@ -55,20 +53,21 @@
 //! world to the per-device states plus the RNG position, and its queue
 //! and device storage go back to the thread pool
 //! ([`SimBackend::into_world_snapshot`]). When the home's next timer
-//! fires, the popping worker (owner or thief) lazily rebuilds it:
-//! [`recover`] replays the journal, [`SimBackend::resurrect`] restores
-//! the world, and redrive re-schedules the pending submissions — at
-//! their original absolute times, so the continuation is event-for-event
-//! identical to a never-evicted run. Victims are chosen coldest-first
-//! (farthest next-event time) across *every* shard's parked candidates
-//! whenever the fleet-wide resident count exceeds the budget — the
-//! budget is global, and a worker stealing slices from a busy shard
-//! keeps recovering that shard's homes while the cold ones sit parked
-//! elsewhere. Homes that are not cold simply stay resident, so the true
-//! bound is `max_resident` plus however many homes are warm at the same
-//! instant (mid-routine across an epoch boundary, carrying a failure
-//! plan, or in a worker's hand): on a calm fleet that is a handful, in
-//! a fleet-wide burst it can transiently be most of the fleet.
+//! fires, the popping worker lazily rebuilds it: [`recover`] replays the
+//! journal, [`SimBackend::resurrect`] restores the world, and redrive
+//! re-schedules the pending submissions — at their original absolute
+//! times, so the continuation is event-for-event identical to a
+//! never-evicted run. Whenever the fleet-wide resident count exceeds
+//! the budget, the best-scored parked candidate goes first: the score
+//! is the home's idle distance (next-event time) discounted by the
+//! journal-replay cost its recovery would pay, so the runner prefers
+//! homes that are both cold *and* cheap to bring back. Any victim order
+//! yields byte-identical results; the score only shapes replay work.
+//! Homes that are not cold simply stay resident, so the true bound is
+//! `max_resident` plus however many homes are warm at the same instant
+//! (mid-routine across an epoch boundary, carrying a failure plan, or
+//! in a worker's hand): on a calm fleet that is a handful, in a
+//! fleet-wide burst it can transiently be most of the fleet.
 //!
 //! Latency accounting: routine finish latencies are drained after every
 //! slice into a constant-memory [`LatencyHistogram`] per worker, merged
@@ -96,22 +95,6 @@ use crate::runtime::{HomeRuntime, Step};
 use crate::sim::{Driver, SimBackend};
 use crate::spec::{Arrival, RunSpec};
 
-/// How eviction picks its victim among the cold parked candidates.
-/// Never observable in results — any victim order yields byte-identical
-/// per-home counters — only in how much replay work recoveries cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvictionPolicy {
-    /// Score = expected idle (next-event distance) discounted by the
-    /// journal-replay cost a recovery would pay
-    /// ([`ExecutionJournal::approx_bytes`] as the proxy): prefer homes
-    /// that are both cold *and* cheap to bring back. The default.
-    #[default]
-    CostAware,
-    /// Pure farthest-next-event victim selection — the PR 9 behaviour,
-    /// kept for A/B comparison in the eviction bench section.
-    ColdestFirst,
-}
-
 /// Tuning knobs of the resident service runner. None of them may change
 /// per-home results — that is the runner's core contract — only *where*
 /// and *with how much resident state* the work happens.
@@ -120,21 +103,14 @@ pub struct ServiceConfig {
     /// Epoch slice length: slice boundaries are absolute simulated-time
     /// multiples of this.
     pub epoch: TimeDelta,
-    /// Idle workers steal slices from other shards' wheels. On by
-    /// default; turning it off reproduces the static PR 8 behaviour
-    /// (useful for A/B digest checks and steal-benefit measurement).
-    pub steal: bool,
     /// Fleet-wide resident-home budget. `Some(n)` journals every home
     /// and evicts cold parked homes whenever more than `n` are resident;
     /// `None` (the default) keeps every home hot and skips journaling.
     pub max_resident: Option<usize>,
-    /// Victim selection among cold parked homes (only matters with
-    /// `max_resident`).
-    pub eviction: EvictionPolicy,
     /// Intra-home parallelism planner. `Some` asks it to partition each
     /// home into conflict clusters ([`crate::intra`]); a home it splits
     /// runs as independent sub-slices — each cluster its own schedulable
-    /// unit on the wheel, stealable like any whole-home slice — and is
+    /// unit on the wheel, run by whichever worker pops it — and is
     /// folded back into one byte-identical [`RunCounters`] when its last
     /// cluster finishes. Homes the planner declines (or that later trip
     /// a fallback, e.g. a stalled sub-run) take the sequential path.
@@ -148,42 +124,25 @@ impl std::fmt::Debug for ServiceConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServiceConfig")
             .field("epoch", &self.epoch)
-            .field("steal", &self.steal)
             .field("max_resident", &self.max_resident)
-            .field("eviction", &self.eviction)
             .field("intra_home", &self.intra_home.as_ref().map(|_| "<planner>"))
             .finish()
     }
 }
 
 impl ServiceConfig {
-    /// Stealing on, no eviction, no intra-home splitting — the default
-    /// service shape.
+    /// No eviction, no intra-home splitting — the default service shape.
     pub fn new(epoch: TimeDelta) -> Self {
         ServiceConfig {
             epoch,
-            steal: true,
             max_resident: None,
-            eviction: EvictionPolicy::default(),
             intra_home: None,
         }
-    }
-
-    /// Builder-style steal toggle.
-    pub fn with_steal(mut self, steal: bool) -> Self {
-        self.steal = steal;
-        self
     }
 
     /// Builder-style resident budget.
     pub fn with_max_resident(mut self, max_resident: usize) -> Self {
         self.max_resident = Some(max_resident);
-        self
-    }
-
-    /// Builder-style eviction policy.
-    pub fn with_eviction(mut self, eviction: EvictionPolicy) -> Self {
-        self.eviction = eviction;
         self
     }
 
@@ -214,7 +173,7 @@ pub struct ServiceResult {
     /// slice boundaries are absolute simulated-time multiples of the
     /// epoch derived from each home's own event queue, so the count
     /// depends only on the fleet and the epoch, never on the worker
-    /// count, stealing or eviction.
+    /// count or eviction.
     pub slices: u64,
     /// Per-worker scheduling stats (slices run, steals, homes finished).
     /// Scheduling-dependent — informational only, never compare across
@@ -280,15 +239,16 @@ impl ServiceResult {
         })
     }
 
-    /// Total steals across workers (scheduling-dependent).
+    /// Slices a worker ran for a unit another worker built
+    /// (scheduling-dependent; always 0 with one worker).
     pub fn steals(&self) -> u64 {
         self.worker_stats.iter().map(|w| w.steals).sum()
     }
 }
 
 /// Runs `homes` resident homes across `workers` threads in epoch slices
-/// of `epoch` simulated time, with stealing on and eviction off (the
-/// [`ServiceConfig::new`] defaults — see [`run_service_with`]).
+/// of `epoch` simulated time, with eviction and intra-home splitting off
+/// (the [`ServiceConfig::new`] defaults — see [`run_service_with`]).
 ///
 /// `make_spec(home, seed)` builds each home's spec from its derived
 /// seed ([`home_seed`]), exactly as for the batch fleet driver; equal
@@ -314,15 +274,17 @@ where
 }
 
 /// One schedulable unit: a whole home, or one conflict cluster of a
-/// home the intra-home planner split. Units are what the shard wheels
-/// park and pop — a split home's clusters are stealable independently,
-/// which is the whole point: a heavy home stops being one indivisible
-/// lump of work.
+/// home the intra-home planner split. Units are what the wheel parks
+/// and pops — a split home's clusters run on different workers
+/// independently, which is the whole point: a heavy home stops being one
+/// indivisible lump of work.
 #[derive(Debug, Clone, Copy)]
 struct UnitMeta {
     home: usize,
     /// `None`: the whole home. `Some(c)`: cluster `c` of its partition.
     cluster: Option<usize>,
+    /// The worker that builds the unit (see [`ServiceResult::steals`]).
+    built_by: usize,
 }
 
 /// One unit's slot: its execution state plus the per-home latency drain
@@ -370,13 +332,11 @@ struct EvictedHome {
     rng: SimRng,
 }
 
-/// One shard's shared scheduling state.
+/// The runner's shared scheduling state.
 #[derive(Default)]
-struct ShardCore {
-    /// Timer wheel of parked units. The payload carries the *true* park
-    /// time: concurrent pops may clamp the wheel timestamp forward, and
-    /// the candidate bookkeeping below must match the original.
-    wheel: EventQueue<(usize, Timestamp)>,
+struct Scheduler {
+    /// Timer wheel of parked units, shared by every worker.
+    wheel: EventQueue<usize>,
     /// Parked units currently satisfying the full evictability
     /// condition, keyed by eviction score — `last` is the best victim.
     /// Kept exactly in sync with `scores` below: every mutation goes
@@ -393,7 +353,7 @@ struct ShardCore {
     scores: BTreeMap<usize, u64>,
 }
 
-impl ShardCore {
+impl Scheduler {
     /// Registers (or refreshes) a parked eviction candidate, compacting
     /// any stale entry the unit left behind.
     fn park_candidate(&mut self, unit: usize, score: u64) {
@@ -403,8 +363,8 @@ impl ShardCore {
         self.parked.insert((score, unit));
     }
 
-    /// Withdraws a unit's candidate entry (pop, steal or eviction
-    /// claim). `false` when it had none — the usual race outcome.
+    /// Withdraws a unit's candidate entry (pop or eviction claim).
+    /// `false` when it had none — the usual race outcome.
     fn unpark_candidate(&mut self, unit: usize) -> bool {
         match self.scores.remove(&unit) {
             Some(score) => self.parked.remove(&(score, unit)),
@@ -419,8 +379,8 @@ impl ShardCore {
 }
 
 /// Shared run context: everything the workers touch. Lock order: a
-/// worker holds at most one slot lock and at most one shard lock, and
-/// only ever acquires a shard lock *while holding* a slot lock (the
+/// worker holds at most one slot lock and the scheduler lock, and only
+/// ever acquires the scheduler lock *while holding* a slot lock (the
 /// re-park path) — never the reverse — so there is no cycle.
 struct ServiceCtx<'a> {
     specs: &'a [RunSpec],
@@ -436,12 +396,10 @@ struct ServiceCtx<'a> {
     /// Per home: unfinished cluster units; the worker that takes it to
     /// zero performs the merge. Unused for sequential homes.
     pending_units: Vec<AtomicUsize>,
-    shards: Vec<Mutex<ShardCore>>,
+    sched: Mutex<Scheduler>,
     slots: Vec<Mutex<HomeSlot<'a>>>,
     epoch_ms: u64,
-    steal: bool,
     max_resident: Option<usize>,
-    eviction: EvictionPolicy,
     /// Unfinished units; workers exit when it hits zero.
     live: AtomicUsize,
     resident: AtomicUsize,
@@ -471,23 +429,32 @@ impl<'a> ServiceCtx<'a> {
         }
     }
 
-    /// The eviction score of a parked unit: higher = better victim.
-    fn eviction_score(&self, next: Timestamp, replay_cost_bytes: usize) -> u64 {
-        match self.eviction {
-            EvictionPolicy::ColdestFirst => next.as_millis(),
-            // Idle distance discounted by replay cost: 4 journal bytes
-            // cost one millisecond of coldness, so between two equally
-            // cold homes the cheaper replay goes first, and a hot-ish
-            // home with a tiny journal can beat a cold one with an
-            // expensive history.
-            EvictionPolicy::CostAware => next
-                .as_millis()
-                .saturating_sub(replay_cost_bytes as u64 / 4),
+    /// Parks `unit` on the wheel at its next event. `replay_cost` is
+    /// `Some(journal bytes)` when the unit is evictable right now: it
+    /// then also becomes an eviction candidate, scored (higher = better
+    /// victim) by its idle distance discounted by replay cost. 4 journal
+    /// bytes cost one millisecond of coldness, so between two equally
+    /// cold homes the cheaper replay goes first, and a hot-ish home with
+    /// a tiny journal can beat a cold one with an expensive history.
+    fn park(&self, unit: usize, next: Timestamp, replay_cost: Option<usize>) {
+        let mut sched = self.sched.lock().expect("scheduler");
+        sched.wheel.schedule(next, unit);
+        if let Some(bytes) = replay_cost {
+            sched.park_candidate(unit, next.as_millis().saturating_sub(bytes as u64 / 4));
         }
+    }
+
+    /// Pops the earliest parked unit, withdrawing its eviction
+    /// candidacy.
+    fn pop(&self) -> Option<usize> {
+        let mut sched = self.sched.lock().expect("scheduler");
+        let (_, unit) = sched.wheel.pop()?;
+        sched.unpark_candidate(unit);
+        Some(unit)
     }
 }
 
-/// [`run_service`] with explicit stealing/eviction knobs.
+/// [`run_service`] with explicit eviction and intra-home knobs.
 pub fn run_service_with<F>(
     homes: usize,
     workers: usize,
@@ -505,8 +472,9 @@ where
         .collect();
 
     // Phase 1 — build the specs, in parallel over the same contiguous
-    // near-equal split the shards use. Spec construction is pure in
-    // (home, seed), so the split is a throughput detail.
+    // near-equal split the workers later build their homes over. Spec
+    // construction is pure in (home, seed), so the split is a
+    // throughput detail.
     let bounds: Vec<(usize, usize)> = (0..workers)
         .map(|w| (w * homes / workers, (w + 1) * homes / workers))
         .collect();
@@ -556,15 +524,18 @@ where
     let mut units = Vec::with_capacity(homes);
     let mut home_units = Vec::with_capacity(homes);
     for (home, p) in partitions.iter().enumerate() {
+        let built_by = bounds.partition_point(|&(_, hi)| hi <= home);
         let start = units.len();
         match p {
             Some(p) => units.extend((0..p.clusters.len()).map(|c| UnitMeta {
                 home,
                 cluster: Some(c),
+                built_by,
             })),
             None => units.push(UnitMeta {
                 home,
                 cluster: None,
+                built_by,
             }),
         }
         home_units.push(start..units.len());
@@ -598,13 +569,9 @@ where
         specs: &specs,
         sub_specs: &sub_specs,
         partitions: &partitions,
-        shards: (0..workers)
-            .map(|_| Mutex::new(ShardCore::default()))
-            .collect(),
+        sched: Mutex::new(Scheduler::default()),
         epoch_ms: config.epoch.as_millis().max(1),
-        steal: config.steal,
         max_resident: config.max_resident,
-        eviction: config.eviction,
         resident: AtomicUsize::new(0),
         peak_resident: AtomicUsize::new(0),
         evictions: AtomicU64::new(0),
@@ -677,8 +644,8 @@ where
     result
 }
 
-/// One worker: builds its own shard's homes, then slices — own wheel
-/// first, stealing from the other shards when it runs dry.
+/// One worker: builds its own contiguous range of homes, then pops
+/// slices off the shared wheel until every unit has finished.
 fn service_worker<'a>(
     ctx: &ServiceCtx<'a>,
     w: usize,
@@ -700,11 +667,7 @@ fn service_worker<'a>(
                 let next = d.backend().next_event_at().unwrap_or(Timestamp::ZERO);
                 ctx.slots[unit].lock().expect("slot").cell = Cell::LiveSub(Box::new(d));
                 ctx.note_resident();
-                ctx.shards[w]
-                    .lock()
-                    .expect("shard")
-                    .wheel
-                    .schedule(next, (unit, next));
+                ctx.park(unit, next, None);
                 continue;
             }
             // Eviction needs the journal as the durable half of the home;
@@ -730,37 +693,23 @@ fn service_worker<'a>(
                 evictable
             };
             ctx.note_resident();
-            {
-                let mut sc = ctx.shards[w].lock().expect("shard");
-                sc.wheel.schedule(next, (unit, next));
-                if evictable {
-                    sc.park_candidate(unit, ctx.eviction_score(next, replay_cost));
-                }
-            }
+            ctx.park(unit, next, evictable.then_some(replay_cost));
             // Evict-at-birth keeps even the construction phase inside the
             // budget: a fresh all-`At` home is already cold (nothing
             // submitted yet), so it can park behind its genesis journal.
-            evict_over_budget(ctx, w);
+            evict_over_budget(ctx);
         }
     }
 
-    // All shards populated before anyone may steal from them.
+    // Every home parked before anyone pops.
     ctx.barrier.wait();
 
     loop {
-        let popped = pop_shard(ctx, w).or_else(|| {
-            if !ctx.steal {
-                return None;
-            }
-            (w + 1..ctx.shards.len())
-                .chain(0..w)
-                .find_map(|victim| pop_shard(ctx, victim))
-                .inspect(|_| stats.steals += 1)
-        });
-        match popped {
-            Some((shard, home)) => {
-                run_slice(ctx, shard, home, &mut stats, &mut hist);
-                evict_over_budget(ctx, shard);
+        match ctx.pop() {
+            Some(unit) => {
+                stats.steals += u64::from(ctx.units[unit].built_by != w);
+                run_slice(ctx, unit, &mut stats, &mut hist);
+                evict_over_budget(ctx);
             }
             None => {
                 if ctx.live.load(Ordering::Acquire) == 0 {
@@ -773,15 +722,6 @@ fn service_worker<'a>(
         }
     }
     (hist, stats)
-}
-
-/// Pops the earliest parked unit from shard `s`, maintaining the
-/// eviction-candidate set. Returns `(shard, unit)`.
-fn pop_shard(ctx: &ServiceCtx<'_>, s: usize) -> Option<(usize, usize)> {
-    let mut sc = ctx.shards[s].lock().expect("shard");
-    let (_, (unit, _next)) = sc.wheel.pop()?;
-    sc.unpark_candidate(unit);
-    Some((s, unit))
 }
 
 /// Advances one epoch slice: runs `d` through every event strictly
@@ -815,17 +755,16 @@ fn advance_slice<S: TraceSink>(d: &mut Driver<'_, S>, epoch_ms: u64) -> Option<T
 }
 
 /// Runs one epoch slice of `unit`, recovering it first if it was
-/// evicted. `shard` is the unit's owning shard (where it re-parks).
+/// evicted.
 fn run_slice<'a>(
     ctx: &ServiceCtx<'a>,
-    shard: usize,
     unit: usize,
     stats: &mut WorkerStats,
     hist: &mut LatencyHistogram,
 ) {
     let meta = ctx.units[unit];
     if meta.cluster.is_some() {
-        return run_sub_slice(ctx, shard, unit, stats, hist);
+        return run_sub_slice(ctx, unit, stats, hist);
     }
     let mut slot = ctx.slots[unit].lock().expect("slot");
     let slot = &mut *slot;
@@ -848,11 +787,7 @@ fn run_slice<'a>(
         let evictable =
             evictable_spec && d.engine().quiescent() && d.backend().only_submits_pending();
         let replay_cost = d.journal().map_or(0, ExecutionJournal::approx_bytes);
-        let mut sc = ctx.shards[shard].lock().expect("shard");
-        sc.wheel.schedule(next, (unit, next));
-        if evictable {
-            sc.park_candidate(unit, ctx.eviction_score(next, replay_cost));
-        }
+        ctx.park(unit, next, evictable.then_some(replay_cost));
     }
 
     if d.is_done() {
@@ -890,7 +825,6 @@ fn run_slice<'a>(
 /// slot (including, possibly, this one).
 fn run_sub_slice<'a>(
     ctx: &ServiceCtx<'a>,
-    shard: usize,
     unit: usize,
     stats: &mut WorkerStats,
     hist: &mut LatencyHistogram,
@@ -903,11 +837,7 @@ fn run_sub_slice<'a>(
         };
         match advance_slice(d, ctx.epoch_ms) {
             Some(next) => {
-                ctx.shards[shard]
-                    .lock()
-                    .expect("shard")
-                    .wheel
-                    .schedule(next, (unit, next));
+                ctx.park(unit, next, None);
                 false
             }
             None => {
@@ -989,38 +919,21 @@ fn merge_home<'a>(
     stats.homes_run += 1;
 }
 
-/// Evicts best-victim-first (per [`EvictionPolicy`]) while the
-/// fleet-wide resident count exceeds the budget. The budget is global,
-/// so the victim search sweeps *every* shard's parked candidates
-/// (starting at `shard`, the caller's, to spread lock pressure) — a
-/// worker stealing slices from a busy shard keeps recovering that
-/// shard's homes while the cold ones sit parked elsewhere. Candidates
-/// are re-validated under the slot lock: a wheel pop can race the
-/// claim.
-fn evict_over_budget(ctx: &ServiceCtx<'_>, shard: usize) {
+/// Evicts best-scored candidate first (see [`ServiceCtx::park`]) while
+/// the fleet-wide resident count exceeds the budget. The claimed
+/// candidate is re-validated under its slot lock: a wheel pop can race
+/// the claim.
+fn evict_over_budget(ctx: &ServiceCtx<'_>) {
     let Some(max) = ctx.max_resident else { return };
-    let shards = ctx.shards.len();
-    loop {
-        if ctx.resident.load(Ordering::SeqCst) <= max {
-            return;
-        }
-        // Globally best candidate: peek each shard's top-scored parked
-        // entry, then take the overall best.
-        let mut best: Option<(u64, usize, usize)> = None;
-        for i in 0..shards {
-            let s = (shard + i) % shards;
-            let sc = ctx.shards[s].lock().expect("shard");
-            if let Some((score, unit)) = sc.best_victim() {
-                if best.is_none_or(|(b, _, _)| score > b) {
-                    best = Some((score, unit, s));
-                }
-            }
-        }
-        let Some((_, unit, s)) = best else { return };
-        // Claim it; a pop or re-park may have raced the peek — re-scan.
-        if !ctx.shards[s].lock().expect("shard").unpark_candidate(unit) {
-            continue;
-        }
+    while ctx.resident.load(Ordering::SeqCst) > max {
+        let unit = {
+            let mut sched = ctx.sched.lock().expect("scheduler");
+            let Some((_, unit)) = sched.best_victim() else {
+                return;
+            };
+            sched.unpark_candidate(unit);
+            unit
+        };
         let mut slot = ctx.slots[unit].lock().expect("slot");
         let still_cold = match &slot.cell {
             Cell::Live(d) => {
@@ -1232,30 +1145,25 @@ mod tests {
         );
         assert_eq!(base.intra_homes, 0, "no planner, no splits");
         for workers in [1, 2, 4] {
-            for steal in [false, true] {
-                let intra = run_service_with(
-                    8,
-                    workers,
-                    0x147,
-                    ServiceConfig::new(TimeDelta::from_secs(10))
-                        .with_steal(steal)
-                        .with_intra_home(test_planner()),
-                    mixed_home,
-                );
-                assert_eq!(
-                    base.homes, intra.homes,
-                    "sub-slice execution must be invisible in results \
-                     ({workers} workers, steal={steal})"
-                );
-                assert_eq!(base.digest(), intra.digest());
-                assert_eq!(intra.intra_homes, 4, "every factory home splits");
-                assert_eq!(intra.intra_fallbacks, 0, "the gate admits no stalls");
-                assert_eq!(
-                    base.latency.count(),
-                    intra.latency.count(),
-                    "merged homes drain every latency sample exactly once"
-                );
-            }
+            let intra = run_service_with(
+                8,
+                workers,
+                0x147,
+                ServiceConfig::new(TimeDelta::from_secs(10)).with_intra_home(test_planner()),
+                mixed_home,
+            );
+            assert_eq!(
+                base.homes, intra.homes,
+                "sub-slice execution must be invisible in results ({workers} workers)"
+            );
+            assert_eq!(base.digest(), intra.digest());
+            assert_eq!(intra.intra_homes, 4, "every factory home splits");
+            assert_eq!(intra.intra_fallbacks, 0, "the gate admits no stalls");
+            assert_eq!(
+                base.latency.count(),
+                intra.latency.count(),
+                "merged homes drain every latency sample exactly once"
+            );
         }
     }
 
@@ -1286,36 +1194,12 @@ mod tests {
     }
 
     #[test]
-    fn eviction_policies_agree_on_results() {
-        let mut by_policy = Vec::new();
-        for policy in [EvictionPolicy::CostAware, EvictionPolicy::ColdestFirst] {
-            let r = run_service_with(
-                8,
-                2,
-                0xC01D,
-                ServiceConfig::new(TimeDelta::from_secs(20))
-                    .with_max_resident(1)
-                    .with_eviction(policy),
-                service_shaped_home,
-            );
-            assert!(r.evictions > 0, "{policy:?} must evict under budget 1");
-            by_policy.push(r);
-        }
-        let (cost, cold) = (&by_policy[0], &by_policy[1]);
-        assert_eq!(
-            cost.homes, cold.homes,
-            "victim policy must be invisible in results"
-        );
-        assert_eq!(cost.digest(), cold.digest());
-        assert_eq!(cost.slices, cold.slices);
-    }
-
-    #[test]
     fn stale_candidate_entries_are_compacted() {
-        let mut sc = ShardCore::default();
+        let mut sc = Scheduler::default();
         // The race the old keyed-by-time set leaked on: a home is
-        // parked, claimed by an evictor while a thief re-parks it — the
-        // re-park must replace, not duplicate, the candidate entry.
+        // parked, claimed by an evictor while another worker re-parks
+        // it — the re-park must replace, not duplicate, the candidate
+        // entry.
         sc.park_candidate(3, 100);
         sc.park_candidate(3, 250);
         assert_eq!(sc.parked.len(), 1, "re-park compacts the stale entry");
@@ -1338,34 +1222,22 @@ mod tests {
     }
 
     #[test]
-    fn resident_results_are_identical_across_worker_counts_and_stealing() {
-        let base = run_service_with(
-            9,
-            1,
-            42,
-            ServiceConfig::new(TimeDelta::from_secs(30)).with_steal(false),
-            service_shaped_home,
-        );
-        for workers in [1, 2, 3, 4] {
-            for steal in [false, true] {
-                let other = run_service_with(
-                    9,
-                    workers,
-                    42,
-                    ServiceConfig::new(TimeDelta::from_secs(30)).with_steal(steal),
-                    service_shaped_home,
-                );
-                assert_eq!(
-                    base.homes, other.homes,
-                    "per-home results must not depend on sharding \
-                     ({workers} workers, steal={steal})"
-                );
-                assert_eq!(base.digest(), other.digest());
-                assert_eq!(
-                    base.slices, other.slices,
-                    "slice structure is worker- and steal-free"
-                );
-            }
+    fn resident_results_are_identical_across_worker_counts() {
+        let base = run_service(9, 1, 42, TimeDelta::from_secs(30), service_shaped_home);
+        for workers in [2, 3, 4] {
+            let other = run_service(
+                9,
+                workers,
+                42,
+                TimeDelta::from_secs(30),
+                service_shaped_home,
+            );
+            assert_eq!(
+                base.homes, other.homes,
+                "per-home results must not depend on the worker count ({workers} workers)"
+            );
+            assert_eq!(base.digest(), other.digest());
+            assert_eq!(base.slices, other.slices, "slice structure is worker-free");
         }
     }
 
@@ -1435,19 +1307,16 @@ mod tests {
 
     #[test]
     fn worker_stats_account_for_every_slice_and_home() {
-        let r = run_service_with(
-            9,
-            3,
-            11,
-            ServiceConfig::new(TimeDelta::from_secs(10)).with_steal(false),
-            service_shaped_home,
-        );
+        let single = run_service(9, 1, 11, TimeDelta::from_secs(10), service_shaped_home);
+        assert_eq!(single.steals(), 0, "one worker builds every unit it runs");
+        let r = run_service(9, 3, 11, TimeDelta::from_secs(10), service_shaped_home);
         assert_eq!(r.worker_stats.len(), 3);
         let slices: u64 = r.worker_stats.iter().map(|w| w.slices_run).sum();
         let homes: usize = r.worker_stats.iter().map(|w| w.homes_run).sum();
         assert_eq!(slices, r.slices);
+        assert_eq!(slices, single.slices);
         assert_eq!(homes, r.homes.len());
-        assert_eq!(r.steals(), 0, "steal=false must never steal");
+        assert!(r.steals() <= slices, "a steal is a slice");
     }
 
     #[test]

@@ -21,13 +21,15 @@
 //! The whole plan is drawn once from the *fleet* seed
 //! ([`NeighborhoodPlan::generate`]), never from per-home seeds, so a
 //! home's spec stays a pure function of `(home, seed, plan)` and fleet
-//! results remain byte-identical across worker counts and schedules.
+//! results remain byte-identical across worker counts.
 //!
 //! Affected homes are far more expensive to simulate than clean ones —
 //! probe traffic scales with the whole 25-minute window over a
 //! heavy-tailed per-home ping interval, and detection/abort/rollback add
-//! events on top — which is exactly the heterogeneity that makes
-//! [`safehome_harness::FleetSchedule::Stealing`] beat static sharding.
+//! events on top — which is exactly the heterogeneity that
+//! [`safehome_harness::run_fleet`]'s shared home cursor absorbs: a worker
+//! busy with a storm-center home delays only itself, never a queue of
+//! homes pinned behind it.
 
 use safehome_devices::LatencyModel;
 use safehome_harness::RunSpec;

@@ -45,16 +45,6 @@ should trip):
   available_parallelism on the bench machine: the wallclock rate would
   measure thread oversubscription) are reported, never gated — the
   point-level sustained rate comes from non-oversubscribed runs only.
-- service.steal: the cross-shard epoch-slice stealing subsection must
-  carry ``schedules_agree: true`` outright (per-home results
-  byte-identical across steal on/off and vs the sequential reference —
-  slice migration must be invisible), and its modeled-makespan speedup
-  on the seeded skewed fleet must stay >=
-  ``--min-steal-makespan-ratio`` (default 1.2x). The modeled basis is
-  gated for the same reason as the neighborhood fleet's: it is
-  machine-independent; the wallclock comparison — skipped outright by
-  service_bench on machines with fewer cores than workers — is
-  reported, never gated.
 - service.eviction: ``digest_neutral`` must hold outright (a run under
   a resident budget byte-identical to the never-evicted run), the run
   must actually evict (``evictions > 0`` and ``recoveries > 0`` — a
@@ -70,20 +60,12 @@ should trip):
   fallbacks (``intra_fallbacks == 0`` — the gate admits only workloads
   the sub-run equivalence proof covers, so any fallback means the gate
   or the planner regressed), and its modeled-makespan speedup over
-  whole-home stealing must stay >=
-  ``--min-intra-home-makespan-ratio`` (default 1.3x). As with the
-  steal section, the modeled basis is machine-independent and
-  authoritative; per-worker wallclock rows carrying ``skipped: true``
-  are reported, never gated.
-- fleet correctness flags must hold outright: per-home results identical
-  across worker counts and across Static/Stealing schedules.
-- the steal-vs-static comparison's modeled-makespan speedup must stay
-  >= ``--min-steal-speedup`` (default 1.2x) — the work-stealing win on
-  the heterogeneous neighborhood fleet is a published number. The
-  modeled basis (not wallclock) is gated because it is stable on shared
-  runners; fleet_bench skips the wallclock comparison outright on
-  1-core machines (it reads ~1.0x there and is pure noise), and this
-  script reports — never gates — whatever wallclock info is present.
+  whole-home scheduling must stay >=
+  ``--min-intra-home-makespan-ratio`` (default 1.3x). The modeled
+  basis is gated because it is machine-independent; per-worker
+  wallclock rows carrying ``skipped: true`` are reported, never gated.
+- fleet correctness flag must hold outright: per-home results identical
+  across worker counts.
 - per-home digest sidecars (``BENCH_fleet.digests.tsv``), when present
   for both sides, are diffed and the changed homes reported. A changed
   sidecar **fails** unless the fresh fleet JSON carries the
@@ -103,8 +85,8 @@ Updating the baselines after an intentional change::
 
     cargo run -p safehome-bench --release --bin placement_bench BENCH_placement.json
     cargo run -p safehome-bench --release --bin fleet_bench BENCH_fleet.json
-    # service_bench merges its `service` section (load points + steal +
-    # eviction subsections) into the same artifact
+    # service_bench merges its `service` section (load points + eviction
+    # and intra_home subsections) into the same artifact
     cargo run -p safehome-bench --release --bin service_bench BENCH_fleet.json
     # add --expect-digest-change to the fleet_bench line when the change
     # intentionally moves per-home digests (semantic change)
@@ -149,14 +131,10 @@ def check_placement(new, base, max_slowdown):
         )
 
 
-def check_fleet(new, base, min_rate_ratio, min_steal_speedup):
+def check_fleet(new, base, min_rate_ratio):
     check(
         new["deterministic_across_workers"] is True,
         "fleet: per-home results identical across worker counts",
-    )
-    check(
-        new.get("schedules_agree") is True,
-        "fleet: Static and Stealing schedules agree per home",
     )
     by_workers = {r["workers"]: r for r in base["results"]}
     for row in new["results"]:
@@ -169,31 +147,6 @@ def check_fleet(new, base, min_rate_ratio, min_steal_speedup):
             f"fleet @ {row['workers']} workers: {row['homes_per_sec']} homes/sec "
             f">= {min_rate_ratio}x baseline ({b['homes_per_sec']})",
         )
-    svs = new.get("steal_vs_static")
-    check(svs is not None, "fleet: steal_vs_static section present")
-    if svs is not None:
-        check(
-            svs["schedules_agree"] is True and svs["deterministic_across_workers"] is True,
-            "neighborhood: static/stealing digests equal across worker counts",
-        )
-        ratio = svs["modeled_makespan"]["stealing_speedup_over_static"]
-        check(
-            ratio >= min_steal_speedup,
-            f"neighborhood: stealing {ratio}x static (modeled makespan) "
-            f">= {min_steal_speedup}x",
-        )
-        wallclock = svs.get("wallclock", {})
-        if wallclock.get("skipped"):
-            print(
-                "note: wallclock comparison skipped by fleet_bench "
-                f"({wallclock.get('reason', 'no reason recorded')})"
-            )
-        elif "stealing_speedup_over_static" in wallclock:
-            print(
-                "note: wallclock stealing speedup "
-                f"{wallclock['stealing_speedup_over_static']}x (informational; "
-                "the modeled-makespan gate above is authoritative)"
-            )
 
 
 def check_event_loop(new, base, min_event_loop_ratio):
@@ -269,7 +222,6 @@ def check_service(
     base,
     min_service_rate_ratio,
     max_service_p99_ratio,
-    min_steal_makespan_ratio,
     min_intra_home_makespan_ratio,
 ):
     section = new.get("service")
@@ -284,7 +236,6 @@ def check_service(
         section.get("matches_batch_fleet") is True,
         "service: resident time-sliced results identical to the batch fleet driver",
     )
-    check_service_steal(section, min_steal_makespan_ratio)
     check_service_eviction(section)
     check_service_intra_home(section, min_intra_home_makespan_ratio)
     points = section.get("load_points", [])
@@ -330,41 +281,6 @@ def check_service(
             point["latency_ms"]["p99"] <= ceiling,
             f"service @ {rate}/h: p99 {point['latency_ms']['p99']}ms (simulated) "
             f"<= {max_service_p99_ratio}x baseline ({base_p99}ms)",
-        )
-
-
-def check_service_steal(section, min_steal_makespan_ratio):
-    steal = section.get("steal")
-    check(steal is not None, "service: steal section present")
-    if steal is None:
-        return
-    check(
-        steal.get("schedules_agree") is True,
-        "service: per-home results identical across steal on/off and the "
-        "sequential reference (slice migration is invisible)",
-    )
-    modeled = steal.get("modeled_makespan", {})
-    ratio = modeled.get("stealing_speedup_over_static")
-    check(
-        isinstance(ratio, (int, float)) and ratio >= min_steal_makespan_ratio,
-        f"service: stealing {ratio}x static (modeled makespan, skewed fleet) "
-        f">= {min_steal_makespan_ratio}x",
-    )
-    check(
-        steal.get("steals", 0) > 0,
-        f"service: idle workers actually stole slices ({steal.get('steals')} steals)",
-    )
-    wallclock = steal.get("wallclock", {})
-    if wallclock.get("skipped"):
-        print(
-            "note: service steal wallclock comparison skipped by service_bench "
-            f"({wallclock.get('reason', 'no reason recorded')})"
-        )
-    elif "stealing_speedup_over_static" in wallclock:
-        print(
-            "note: service steal wallclock speedup "
-            f"{wallclock['stealing_speedup_over_static']}x (informational; the "
-            "modeled-makespan gate above is authoritative)"
         )
 
 
@@ -420,7 +336,7 @@ def check_service_intra_home(section, min_intra_home_makespan_ratio):
     ratio = modeled.get("intra_speedup_over_steal")
     check(
         isinstance(ratio, (int, float)) and ratio >= min_intra_home_makespan_ratio,
-        f"service: sub-slicing {ratio}x whole-home stealing (modeled makespan, "
+        f"service: sub-slicing {ratio}x whole-home scheduling (modeled makespan, "
         f"workshop fleet) >= {min_intra_home_makespan_ratio}x",
     )
     skipped = [r["workers"] for r in intra.get("results", []) if r.get("skipped")]
@@ -517,16 +433,14 @@ def main():
     ap.add_argument("--min-event-loop-ratio", type=float, default=0.55)
     ap.add_argument("--min-journal-ratio", type=float, default=0.5)
     ap.add_argument("--min-lint-ratio", type=float, default=0.25)
-    ap.add_argument("--min-steal-speedup", type=float, default=1.2)
     ap.add_argument("--min-service-rate-ratio", type=float, default=0.4)
     ap.add_argument("--max-service-p99-ratio", type=float, default=1.25)
-    ap.add_argument("--min-steal-makespan-ratio", type=float, default=1.2)
     ap.add_argument("--min-intra-home-makespan-ratio", type=float, default=1.3)
     args = ap.parse_args()
 
     check_placement(load(args.placement), load(args.baseline_placement), args.max_slowdown)
     new_fleet, base_fleet = load(args.fleet), load(args.baseline_fleet)
-    check_fleet(new_fleet, base_fleet, args.min_rate_ratio, args.min_steal_speedup)
+    check_fleet(new_fleet, base_fleet, args.min_rate_ratio)
     check_event_loop(new_fleet, base_fleet, args.min_event_loop_ratio)
     check_journal(new_fleet, base_fleet, args.min_journal_ratio)
     check_lint(new_fleet, base_fleet, args.min_lint_ratio)
@@ -535,7 +449,6 @@ def main():
         base_fleet,
         args.min_service_rate_ratio,
         args.max_service_p99_ratio,
-        args.min_steal_makespan_ratio,
         args.min_intra_home_makespan_ratio,
     )
     diff_digest_sidecars(

@@ -1,42 +1,59 @@
-//! Fleet-scheduler determinism properties.
+//! Fleet-runner determinism properties.
 //!
-//! The work-stealing schedule must be a pure scheduling decision: for
-//! random fleet sizes and seeds, `Stealing` at 1/2/4 workers produces
-//! per-home results and fleet digests byte-identical to `Static` — on
-//! the homogeneous morning fleet and on the heterogeneous correlated
-//! neighborhood-outage fleet alike.
+//! Which worker runs a home must be a pure scheduling decision: for
+//! random fleet sizes and seeds, `run_fleet` at 1/2/4 workers produces
+//! per-home results byte-identical to running every home alone on a
+//! plain sequential `Driver` — on the homogeneous morning fleet and on
+//! the heterogeneous correlated neighborhood-outage fleet alike.
 
 use proptest::prelude::*;
 use safehome_core::{EngineConfig, VisibilityModel};
-use safehome_harness::{run_fleet_with, FleetSchedule, HomeRun};
+use safehome_harness::{home_seed, run_fleet, Driver, HomeRun, RunSpec};
+use safehome_types::sink::RunCounters;
 use safehome_workloads::{neighborhood_home, FleetTemplate, NeighborhoodParams, NeighborhoodPlan};
 
-fn assert_all_equal(
-    reference: &[HomeRun],
-    fleet_seed: u64,
+/// Every home of the fleet run to quiescence, one after another, on the
+/// calling thread: the reference no scheduler is involved in.
+fn sequential(
     homes: usize,
-    run: impl Fn(usize, FleetSchedule) -> Vec<HomeRun>,
+    fleet_seed: u64,
+    make_spec: impl Fn(usize, u64) -> RunSpec,
+) -> Vec<HomeRun> {
+    (0..homes)
+        .map(|home| {
+            let seed = home_seed(fleet_seed, home as u64);
+            let spec = make_spec(home, seed);
+            let mut driver = Driver::with_sink(&spec, RunCounters::new());
+            let completed = driver.run_to_quiescence();
+            let (counters, _, _) = driver.into_output();
+            HomeRun {
+                home,
+                seed,
+                completed,
+                counters,
+            }
+        })
+        .collect()
+}
+
+fn assert_matches_sequential(
+    homes: usize,
+    fleet_seed: u64,
+    make_spec: impl Fn(usize, u64) -> RunSpec + Sync + Copy,
 ) -> Result<(), String> {
-    // Static at one worker is the reference; Stealing must match it at
-    // every worker count, and Static again at the highest.
-    let combos = [
-        (FleetSchedule::Stealing, 1usize),
-        (FleetSchedule::Stealing, 2),
-        (FleetSchedule::Stealing, 4),
-        (FleetSchedule::Static, 4),
-    ];
-    for (schedule, workers) in combos {
-        let other = run(workers, schedule);
+    let reference = sequential(homes, fleet_seed, make_spec);
+    prop_assert!(reference.iter().all(|h| h.completed));
+    for workers in [1usize, 2, 4] {
+        let fleet = run_fleet(homes, workers, fleet_seed, make_spec);
         prop_assert_eq!(
             reference.len(),
-            other.len(),
-            "home count ({homes} homes, seed {fleet_seed}, {schedule:?} @ {workers})"
+            fleet.homes.len(),
+            "home count ({homes} homes, seed {fleet_seed}, {workers} workers)"
         );
-        for (a, b) in reference.iter().zip(&other) {
+        for (a, b) in reference.iter().zip(&fleet.homes) {
             prop_assert!(
                 a == b,
-                "home {} diverged ({homes} homes, seed {fleet_seed}, \
-                 {schedule:?} @ {workers} workers)",
+                "home {} diverged ({homes} homes, seed {fleet_seed}, {workers} workers)",
                 a.home
             );
         }
@@ -48,18 +65,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
-    fn stealing_matches_static_on_the_morning_fleet(
+    fn run_fleet_matches_sequential_on_the_morning_fleet(
         homes in 1usize..20,
         fleet_seed in any::<u64>(),
     ) {
         let template = FleetTemplate::morning(EngineConfig::new(VisibilityModel::ev()));
         let spec = |_: usize, seed: u64| template.home_spec(seed);
-        let reference =
-            run_fleet_with(homes, 1, fleet_seed, FleetSchedule::Static, spec);
-        prop_assert!(reference.all_completed());
-        assert_all_equal(&reference.homes, fleet_seed, homes, |workers, schedule| {
-            run_fleet_with(homes, workers, fleet_seed, schedule, spec).homes
-        })?;
+        assert_matches_sequential(homes, fleet_seed, spec)?;
     }
 }
 
@@ -70,7 +82,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     #[test]
-    fn stealing_matches_static_on_the_neighborhood_fleet(
+    fn run_fleet_matches_sequential_on_the_neighborhood_fleet(
         homes in 4usize..12,
         fleet_seed in any::<u64>(),
     ) {
@@ -84,11 +96,6 @@ proptest! {
         };
         let plan = NeighborhoodPlan::generate(fleet_seed, homes, &params);
         let spec = |home: usize, seed: u64| neighborhood_home(&template, &plan, home, seed);
-        let reference =
-            run_fleet_with(homes, 1, fleet_seed, FleetSchedule::Static, spec);
-        prop_assert!(reference.all_completed());
-        assert_all_equal(&reference.homes, fleet_seed, homes, |workers, schedule| {
-            run_fleet_with(homes, workers, fleet_seed, schedule, spec).homes
-        })?;
+        assert_matches_sequential(homes, fleet_seed, spec)?;
     }
 }

@@ -21,9 +21,7 @@
 use proptest::prelude::*;
 use safehome::core::{EngineConfig, VisibilityModel};
 use safehome::devices::catalog::plug_home;
-use safehome::harness::{
-    home_seed, run, run_fleet, run_fleet_gated, FleetSchedule, RunSpec, Submission,
-};
+use safehome::harness::{home_seed, run, run_fleet, run_fleet_gated, RunSpec, Submission};
 use safehome::lint;
 use safehome::sim::SimRng;
 use safehome::types::{DeviceId, Routine, TimeDelta, Timestamp, UndoPolicy, Value};
@@ -178,7 +176,6 @@ fn lint_gate_is_digest_neutral_at_fleet_scale() {
         homes,
         2,
         0x5afe_f1ee,
-        FleetSchedule::Stealing,
         |_, spec| lint::check(spec),
         |_, seed| template.home_spec(seed),
     )

@@ -1,23 +1,24 @@
 //! Property test: time-sliced resident execution is invisible.
 //!
 //! For random service fleets — home counts, fleet seeds, arrival rates,
-//! horizons, burst windows, epoch lengths, worker counts, stealing
-//! on/off, resident-budget and eviction-policy choices, and intra-home
-//! cluster splitting on/off — the resident time-sliced runner
+//! horizons, burst windows, epoch lengths, worker counts, resident
+//! budgets, and intra-home cluster splitting on/off — the resident
+//! time-sliced runner
 //! (`run_service_with`) must reproduce the batch run-to-completion
 //! fleet driver (`run_fleet`) byte for byte: same per-home
 //! `RunCounters` (outcomes, latencies, digests), same fleet digest,
 //! same slice count (where clustering is inactive — split homes slice
 //! per cluster, so the count legitimately differs). Slicing a home's
-//! timeline at arbitrary epoch boundaries, interleaving it with its
-//! shard neighbours, running its slices on thieving workers, collapsing
+//! timeline at arbitrary epoch boundaries, interleaving it with the
+//! rest of the fleet, running its slices on whichever worker pops them,
+//! collapsing
 //! it to its journal between slices, or decomposing it into per-cluster
 //! sub-drivers and merging it back must never change which events it
 //! sees or in what order.
 
 use proptest::prelude::*;
 
-use safehome::harness::{run_fleet, run_service_with, EvictionPolicy, ServiceConfig};
+use safehome::harness::{run_fleet, run_service_with, ServiceConfig};
 use safehome::lint::cluster;
 use safehome::prelude::*;
 use safehome::workloads::{
@@ -37,9 +38,7 @@ proptest! {
         bursts in 0usize..3,
         epoch_choice in 0usize..4,
         workers in 1usize..5,
-        steal in any::<bool>(),
         budget_choice in 0usize..4,
-        coldest_first in any::<bool>(),
         intra in any::<bool>(),
     ) {
         // From sub-event-grain slicing to epochs spanning many arrivals.
@@ -53,11 +52,8 @@ proptest! {
         let make_spec = |_: usize, seed: u64| service_home(&template, &params, seed);
 
         let batch = run_fleet(homes, 1, fleet_seed, make_spec);
-        let mut config = ServiceConfig::new(TimeDelta::from_millis(epoch_ms)).with_steal(steal);
+        let mut config = ServiceConfig::new(TimeDelta::from_millis(epoch_ms));
         config.max_resident = max_resident;
-        if coldest_first {
-            config = config.with_eviction(EvictionPolicy::ColdestFirst);
-        }
         if intra {
             // Jittered service homes fail the cluster gate, so the
             // planner declines every one — installing it must be a
@@ -73,9 +69,8 @@ proptest! {
             prop_assert_eq!(b.completed, r.completed);
             prop_assert_eq!(
                 &b.counters, &r.counters,
-                "home {} diverged under slicing (epoch {}ms, {} workers, \
-                 steal {}, budget {:?})",
-                b.home, epoch_ms, workers, steal, max_resident
+                "home {} diverged under slicing (epoch {}ms, {} workers, budget {:?})",
+                b.home, epoch_ms, workers, max_resident
             );
         }
         prop_assert_eq!(batch.digest(), resident.digest());
@@ -105,12 +100,13 @@ proptest! {
         heavy in 1usize..4,
         multiplier in 2u64..7,
         workers in 1usize..5,
-        steal in any::<bool>(),
         budget_choice in 0usize..3,
     ) {
         // The bench's skewed shape at property-test scale: heavy homes
-        // contiguous at the fleet front, stealing and eviction toggled
-        // freely — per-home results must match the batch driver always.
+        // contiguous at the fleet front (all built by the first worker,
+        // so the others steal their slices), worker count and eviction
+        // varied freely — per-home results must match the batch driver
+        // always.
         let homes = 6usize;
         let max_resident = [None, Some(0), Some(2)][budget_choice];
         let template = FleetTemplate::morning(EngineConfig::new(VisibilityModel::ev()));
@@ -123,7 +119,7 @@ proptest! {
         let make_spec = |home: usize, seed: u64| skewed_service_home(&template, &skew, home, seed);
 
         let batch = run_fleet(homes, 1, fleet_seed, make_spec);
-        let mut config = ServiceConfig::new(TimeDelta::from_secs(10)).with_steal(steal);
+        let mut config = ServiceConfig::new(TimeDelta::from_secs(10));
         config.max_resident = max_resident;
         let resident = run_service_with(homes, workers, fleet_seed, config, make_spec);
 
@@ -137,7 +133,6 @@ proptest! {
         zones in 2usize..6,
         routines_per_zone in 3usize..12,
         workers in 1usize..5,
-        steal in any::<bool>(),
         epoch_choice in 0usize..3,
         chain_zones in any::<bool>(),
     ) {
@@ -179,7 +174,7 @@ proptest! {
             homes,
             workers,
             fleet_seed,
-            ServiceConfig::new(TimeDelta::from_millis(epoch_ms)).with_steal(steal),
+            ServiceConfig::new(TimeDelta::from_millis(epoch_ms)),
             make_spec,
         );
         let split = run_service_with(
@@ -187,7 +182,6 @@ proptest! {
             workers,
             fleet_seed,
             ServiceConfig::new(TimeDelta::from_millis(epoch_ms))
-                .with_steal(steal)
                 .with_intra_home(cluster::planner()),
             make_spec,
         );
