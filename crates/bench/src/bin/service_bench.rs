@@ -1,68 +1,57 @@
-//! `service_bench` — resident-fleet service mode under sustained
-//! open-loop traffic, with latency SLO percentiles.
+//! `service_bench` — the resident service runner's committed,
+//! machine-independent artifact (`BENCH_service.json`).
 //!
-//! Where `fleet_bench` measures the batch path (run every home to
-//! quiescence, then stop), this bin measures the *serving* shape: every
+//! Where `fleet_bench` covers the batch path (run every home to
+//! quiescence, then stop), this bin covers the *serving* shape: every
 //! home stays resident over an hours-long simulated horizon while an
 //! open-loop arrival process (seeded Poisson on a one-second lattice,
 //! diurnal rate curve, fleet-seed burst windows — see
 //! `safehome_workloads::scenarios::service`) keeps submitting routines.
 //! The resident runner (`safehome_harness::run_service`) advances homes
-//! in epoch slices off one timer wheel shared by every worker, so a
-//! burst in one home never starves its neighbours and no worker idles
-//! while a slice is due.
+//! in epoch slices off one timer wheel shared by every worker.
 //!
-//! For each load point (arrivals per home-hour) the bin records:
+//! Every number it writes is deterministic — outcome counts, slice
+//! counts, simulated-time latency percentiles, eviction counts of a
+//! single-worker run, cluster counts, event counts and correctness flags
+//! — so a re-run on any machine reproduces the committed file byte for
+//! byte, and `git diff` is the regression gate. Wall-clock performance
+//! is measured by the repository benchmark (`perfbench/`), not here.
 //!
-//! - sustained throughput (homes/sec and routines/sec of wall clock) at
-//!   each worker count — worker counts beyond `available_parallelism`
-//!   are still *run* (they feed the determinism cross-check) but their
-//!   rate fields are replaced by a `skipped` marker: an oversubscribed
-//!   wallclock measures thread contention, not scheduling;
-//! - offered vs completed routine counts (open-loop: offered load does
-//!   not bend to completion rate);
-//! - submission-latency percentiles p50/p95/p99/p999 in simulated
-//!   milliseconds from the constant-memory fleet histogram — these are
-//!   machine-independent, so the regression gate can hold them tight.
-//!
-//! Two further sections exercise the scale-out knobs:
+//! For each load point (arrivals per home-hour) the bin records offered
+//! vs finished routines (open-loop: offered load does not bend to
+//! completion rate), the slice count, and submission-latency
+//! percentiles p50/p95/p99/p999 in simulated milliseconds from the
+//! constant-memory fleet histogram. Two further sections exercise the
+//! scale-out knobs:
 //!
 //! - `eviction`: a calm fleet under a `max_resident` budget —
 //!   evictions, recoveries, peak residency and approximate per-home
-//!   resident vs evicted bytes; results must be byte-identical to the
-//!   never-evicted run (`digest_neutral`).
+//!   resident vs evicted bytes of a one-worker run; results must be
+//!   byte-identical to the never-evicted run (`digest_neutral`).
 //! - `intra_home`: a fleet led by one zoned-workshop home heavy enough
 //!   to floor the whole-home makespan, split by the lint cluster planner
 //!   into independent sub-drivers — modeled makespan whole-home vs
-//!   sub-sliced (from measured sequential costs: authoritative on CI's
-//!   small containers), split/fallback counts, and byte-identity of
-//!   every home against the sequential reference (`digest_neutral`).
+//!   sub-sliced in popped events over the same sub-specs the runner
+//!   executes, split/fallback counts, and byte-identity of every home
+//!   against the sequential reference (`digest_neutral`).
 //!
 //! Cross-checks, recorded in the JSON and enforced by exit status:
-//! per-home results byte-identical across worker counts and eviction
-//! on/off, and identical to the batch `run_fleet` driver on the same
-//! specs.
-//!
-//! The `service` section is *merged into* an existing `BENCH_fleet.json`
-//! at the output path when one is present (replacing any prior
-//! `service` section, leaving every other section untouched), so
-//! `fleet_bench` and `service_bench` compose into one artifact in
-//! either order. No digest-sidecar rows are written: service homes are
-//! covered by the in-run determinism and batch-parity checks.
+//! per-home results and slice counts identical across worker counts,
+//! eviction on/off and planner on/off; identical to the batch
+//! `run_fleet` driver on the same specs; the eviction budget binds; the
+//! workshop splits into one cluster per zone with no merge fallback and
+//! a modeled speedup of at least [`MIN_INTRA_SPEEDUP`].
 //!
 //! Usage:
 //! ```text
 //! cargo run -p safehome-bench --release --bin service_bench \
-//!     [out.json] [homes] [horizon_minutes]
+//!     [out.json]
 //! ```
 
-use std::time::Instant;
-
-use safehome_bench::support::available_parallelism;
 use safehome_core::{EngineConfig, VisibilityModel};
 use safehome_harness::{
-    build_sub_specs, home_seed, run_fleet, run_service, run_service_with, Driver, HomeRun,
-    ServiceConfig, ServiceResult,
+    build_sub_specs, home_seed, run_fleet, run_service, run_service_with, Driver, HomeRun, RunSpec,
+    ServiceConfig, ServiceResult, Step,
 };
 use safehome_lint::cluster;
 use safehome_types::json::{obj, Json};
@@ -82,6 +71,9 @@ const LOAD_POINTS: [u64; 3] = [30, 60, 120];
 const EPOCH: TimeDelta = TimeDelta::from_secs(10);
 /// Fleet-wide burst windows drawn from the seed per load point.
 const BURSTS: usize = 2;
+/// Fleet size and arrival horizon of the load points.
+const HOMES: usize = 600;
+const HORIZON_MINS: u64 = 120;
 
 /// Fleet size and arrival horizon of the eviction section.
 const EVICT_HOMES: usize = 96;
@@ -107,16 +99,37 @@ const INTRA_WORKERS: usize = 4;
 /// Arrival rate / horizon of the light homes.
 const INTRA_RATE: u64 = 20;
 const INTRA_HORIZON_MINS: u64 = 30;
+/// Smallest modeled sub-slicing speedup over whole-home scheduling the
+/// bin accepts.
+const MIN_INTRA_SPEEDUP: f64 = 1.3;
 
 /// Work-conserving makespan bound: workers pop epoch slices off one
 /// shared wheel, so work moves at slice granularity (a near-preemptive
 /// schedule) and converges to `max(total/workers, max single-unit
 /// cost)` — the lower bound any schedule of those units can only
 /// approach.
-fn stealing_makespan(costs: &[f64], workers: usize) -> f64 {
-    let total: f64 = costs.iter().sum();
-    let largest = costs.iter().cloned().fold(0.0, f64::max);
-    (total / workers as f64).max(largest)
+fn makespan_bound(costs: &[u64], workers: usize) -> f64 {
+    let total: u64 = costs.iter().sum();
+    let largest = costs.iter().copied().max().unwrap_or(0);
+    (total as f64 / workers as f64).max(largest as f64)
+}
+
+/// Runs `spec` alone to quiescence on a plain driver; returns its
+/// counters, whether it quiesced, and how many backend events it popped
+/// (the modeled makespan's deterministic cost unit).
+fn run_counted(spec: &RunSpec) -> (RunCounters, bool, u64) {
+    let mut driver = Driver::with_sink(spec, RunCounters::new());
+    let mut events = 0u64;
+    let completed = loop {
+        match driver.step() {
+            Step::Event(_) => events += 1,
+            Step::Idle => {}
+            Step::Quiescent => break true,
+            Step::Stalled => break false,
+        }
+    };
+    let (counters, _, _) = driver.into_output();
+    (counters, completed, events)
 }
 
 fn same_homes(label: &str, a: &[HomeRun], b: &[HomeRun]) -> bool {
@@ -132,6 +145,16 @@ fn same_homes(label: &str, a: &[HomeRun], b: &[HomeRun]) -> bool {
         }
     }
     same
+}
+
+/// `same_homes` plus an equal slice count: slice boundaries come from
+/// each unit's own queue, so the count is worker-independent too.
+fn same_run(label: &str, a: &ServiceResult, b: &ServiceResult) -> bool {
+    if a.slices != b.slices {
+        eprintln!("{label}: {} slices vs {}", b.slices, a.slices);
+        return false;
+    }
+    same_homes(label, &a.homes, &b.homes)
 }
 
 fn percentiles_obj(r: &ServiceResult) -> Json {
@@ -151,29 +174,11 @@ fn main() {
     let out_path = args
         .first()
         .cloned()
-        .unwrap_or_else(|| "BENCH_fleet.json".to_string());
-    let homes: usize = args
-        .get(1)
-        .map(|s| s.parse().expect("homes must be an integer"))
-        .unwrap_or(600);
-    let horizon_minutes: u64 = args
-        .get(2)
-        .map(|s| s.parse().expect("horizon_minutes must be an integer"))
-        .unwrap_or(120);
-    let horizon = TimeDelta::from_mins(horizon_minutes);
+        .unwrap_or_else(|| "BENCH_service.json".to_string());
+    let horizon = TimeDelta::from_mins(HORIZON_MINS);
 
     let template = FleetTemplate::morning(EngineConfig::new(VisibilityModel::ev()));
-    let cpus = available_parallelism();
     let mut ok = true;
-
-    // Warmup: one small resident run so the first timed point does not
-    // pay allocator and page-fault overhead the later ones skip.
-    {
-        let params = ServiceParams::new(TimeDelta::from_mins(10), LOAD_POINTS[0]);
-        run_service(homes.clamp(4, 64), 2, SERVICE_SEED, EPOCH, |_, seed| {
-            service_home(&template, &params, seed)
-        });
-    }
 
     let mut load_rows = Vec::new();
     let mut deterministic = true;
@@ -182,93 +187,33 @@ fn main() {
         let params = ServiceParams::new(horizon, rate).with_bursts_from_seed(SERVICE_SEED, BURSTS);
         let make_spec = |_: usize, seed: u64| service_home(&template, &params, seed);
 
-        let mut runs: Vec<(usize, f64, ServiceResult)> = Vec::new();
-        let mut worker_rows = Vec::new();
-        for workers in WORKER_COUNTS {
-            let start = Instant::now();
-            let result = run_service(homes, workers, SERVICE_SEED, EPOCH, make_spec);
-            let elapsed = start.elapsed().as_secs_f64();
-            let home_rate = homes as f64 / elapsed;
-            let oversubscribed = workers > cpus;
-            assert!(
-                result.all_completed(),
-                "rate {rate}/h, {workers} workers: some homes failed to quiesce"
-            );
-            let mut row = vec![
-                ("workers", Json::from(workers as u64)),
-                ("elapsed_s", Json::Float(round3(elapsed))),
-                ("steals", Json::from(result.steals())),
-            ];
-            if oversubscribed {
-                // The run still matters — it exercises the determinism
-                // cross-check below — but its wall clock measures thread
-                // oversubscription, not scheduling, so the rate fields
-                // are withheld (the intra_home section's modeled makespan
-                // is the authoritative parallel-speedup basis).
-                eprintln!(
-                    "rate {rate}/h, {workers} worker(s): {homes} resident homes over \
-                     {horizon_minutes} simulated minutes in {elapsed:.3}s, {} slices \
-                     (digest {:#018x}); wallclock rate skipped: only {cpus} core(s) \
-                     available, {workers} workers oversubscribe and the ratio would \
-                     misread as \"more workers don't help\"",
-                    result.slices,
-                    result.digest()
+        let runs: Vec<ServiceResult> = WORKER_COUNTS
+            .iter()
+            .map(|&workers| {
+                let result = run_service(HOMES, workers, SERVICE_SEED, EPOCH, make_spec);
+                assert!(
+                    result.all_completed(),
+                    "rate {rate}/h, {workers} workers: some homes failed to quiesce"
                 );
-                row.push(("skipped", Json::from(true)));
-                row.push((
-                    "reason",
-                    Json::from(format!(
-                        "available_parallelism = {cpus} < {workers} workers: the \
-                         wallclock rate measures thread oversubscription, not \
-                         scheduling; the intra_home section's modeled makespan is \
-                         the authoritative parallel-speedup basis"
-                    )),
-                ));
-            } else {
-                eprintln!(
-                    "rate {rate}/h, {workers} worker(s): {homes} resident homes over \
-                     {horizon_minutes} simulated minutes in {elapsed:.3}s = {home_rate:.1} \
-                     homes/sec, {} slices (digest {:#018x})",
-                    result.slices,
-                    result.digest()
-                );
-                row.push(("homes_per_sec", Json::Float(round3(home_rate))));
-                row.push((
-                    "routines_per_sec",
-                    Json::Float(round3(result.finished() as f64 / elapsed)),
-                ));
-            }
-            worker_rows.push(Json::Obj(
-                row.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
-            ));
-            runs.push((workers, elapsed, result));
-        }
+                result
+            })
+            .collect();
 
         // Determinism: byte-identical per-home results at every worker
         // count (the resident wheel must not perturb any home).
-        let (_, _, base) = &runs[0];
-        for (workers, _, result) in &runs[1..] {
-            if base.homes != result.homes {
-                eprintln!("rate {rate}/h: per-home results diverged at {workers} workers");
-                deterministic = false;
-            }
+        let base = &runs[0];
+        for (workers, result) in WORKER_COUNTS.iter().zip(&runs).skip(1) {
+            deterministic &= same_run(&format!("rate {rate}/h @ {workers} workers"), base, result);
         }
 
         // Batch parity: the time-sliced resident path must reproduce
         // the run-to-completion fleet driver byte for byte.
-        let batch = run_fleet(homes, 2, SERVICE_SEED, make_spec);
+        let batch = run_fleet(HOMES, 2, SERVICE_SEED, make_spec);
         if batch.homes != base.homes {
             eprintln!("rate {rate}/h: resident results diverged from the batch fleet driver");
             matches_batch = false;
         }
 
-        // Best sustained rate over the *non-oversubscribed* runs only
-        // (workers = 1 always qualifies, so the set is never empty).
-        let sustained = runs
-            .iter()
-            .filter(|&&(w, _, _)| w <= cpus)
-            .map(|&(_, e, _)| homes as f64 / e)
-            .fold(f64::MIN, f64::max);
         let offered = base.offered();
         let finished = base.finished();
         assert!(
@@ -276,11 +221,14 @@ fn main() {
             "rate {rate}/h: the fleet finished no routines"
         );
         eprintln!(
-            "rate {rate}/h: offered {offered}, finished {finished} \
-             (p50 {}ms, p99 {}ms, p999 {}ms)",
+            "rate {rate}/h: {HOMES} resident homes over {HORIZON_MINS} simulated minutes, \
+             {} slices, offered {offered}, finished {finished} (p50 {}ms, p99 {}ms, \
+             p999 {}ms, digest {:#018x})",
+            base.slices,
             base.latency.percentile(0.50).unwrap(),
             base.latency.percentile(0.99).unwrap(),
             base.latency.percentile(0.999).unwrap(),
+            base.digest()
         );
         load_rows.push(obj([
             ("rate_per_home_hour", Json::from(rate)),
@@ -291,8 +239,7 @@ fn main() {
                 "completed_fraction",
                 Json::Float(round3(finished as f64 / offered.max(1) as f64)),
             ),
-            ("sustained_homes_per_sec", Json::Float(round3(sustained))),
-            ("results", Json::Arr(worker_rows)),
+            ("slices", Json::from(base.slices)),
             ("latency_ms", percentiles_obj(base)),
         ]));
     }
@@ -304,27 +251,28 @@ fn main() {
     // busy service rates most homes are legitimately warm (mid-routine
     // across epoch boundaries — catalog routines hold actuations for
     // minutes). The calm overnight shape is where a resident budget
-    // pays off, and where the peak-residency number is meaningful.
+    // pays off, and where the peak-residency number is meaningful. The
+    // recorded counts come from one worker, whose pop order is fixed;
+    // with more workers they depend on thread timing, so the two-worker
+    // run is only checked for digest neutrality.
     let evict_params = ServiceParams::new(TimeDelta::from_mins(EVICT_HORIZON_MINS), EVICT_RATE);
     let evict_spec = |_: usize, seed: u64| service_home(&template, &evict_params, seed);
-    let unbounded = run_service_with(
-        EVICT_HOMES,
-        2,
-        SERVICE_SEED,
-        ServiceConfig::new(EPOCH),
-        evict_spec,
-    );
-    let start = Instant::now();
-    let evicted = run_service_with(
-        EVICT_HOMES,
-        2,
-        SERVICE_SEED,
-        ServiceConfig::new(EPOCH).with_max_resident(EVICT_BUDGET),
-        evict_spec,
-    );
-    let evict_elapsed = start.elapsed().as_secs_f64();
-    let digest_neutral = same_homes("eviction", &unbounded.homes, &evicted.homes);
-    ok &= digest_neutral;
+    let evict_run = |workers: usize, config: ServiceConfig| {
+        run_service_with(EVICT_HOMES, workers, SERVICE_SEED, config, evict_spec)
+    };
+    let unbounded = evict_run(1, ServiceConfig::new(EPOCH));
+    let budget = ServiceConfig::new(EPOCH).with_max_resident(EVICT_BUDGET);
+    let evicted = evict_run(1, budget.clone());
+    let evicted_2w = evict_run(2, budget);
+    let digest_neutral = same_run("eviction", &unbounded, &evicted)
+        & same_run("eviction @ 2 workers", &unbounded, &evicted_2w);
+    let budget_binds = evicted.evictions > 0
+        && evicted.recoveries > 0
+        && evicted.peak_resident_homes < unbounded.peak_resident_homes;
+    if !budget_binds {
+        eprintln!("eviction: the resident budget never bound (no eviction, or no lower peak)");
+    }
+    ok &= digest_neutral && budget_binds;
     eprintln!(
         "eviction: budget {EVICT_BUDGET}/{EVICT_HOMES} resident homes at {EVICT_RATE}/h: \
          peak {} (vs {} unbounded), {} evictions, {} recoveries, ~{} resident vs ~{} \
@@ -344,15 +292,14 @@ fn main() {
                  quiescent home collapses to {journal, device states, RNG} and its \
                  pooled simulator state returns to the thread pool; the next timer \
                  fire rebuilds it by journal replay — results must be byte-identical \
-                 to a never-evicted run (digest_neutral)",
+                 to a never-evicted run (digest_neutral); counts are from one worker",
             ),
         ),
         ("homes", Json::from(EVICT_HOMES as u64)),
-        ("workers", Json::from(2u64)),
+        ("workers", Json::from(1u64)),
         ("rate_per_home_hour", Json::from(EVICT_RATE)),
         ("horizon_minutes", Json::from(EVICT_HORIZON_MINS)),
         ("max_resident", Json::from(EVICT_BUDGET as u64)),
-        ("elapsed_s", Json::Float(round3(evict_elapsed))),
         ("evictions", Json::from(evicted.evictions)),
         ("recoveries", Json::from(evicted.recoveries)),
         (
@@ -387,20 +334,16 @@ fn main() {
     let intra_spec =
         |home: usize, seed: u64| zoned_fleet_home(&template, &intra_base, &intra_zone, home, seed);
 
-    // Per-home sequential cost pass (also the reference results), then
-    // the heavy home's per-cluster costs over the same sub-specs the
-    // service runner executes.
+    // Per-home sequential pass (the reference results and each home's
+    // event count), then the heavy home's per-cluster event counts over
+    // the same sub-specs the service runner executes.
     let mut intra_costs = Vec::with_capacity(INTRA_HOMES);
     let mut intra_reference = Vec::with_capacity(INTRA_HOMES);
     for home in 0..INTRA_HOMES {
         let seed = home_seed(SERVICE_SEED, home as u64);
-        let spec = intra_spec(home, seed);
-        let start = Instant::now();
-        let mut driver = Driver::with_sink(&spec, RunCounters::new());
-        let completed = driver.run_to_quiescence();
-        let (counters, _, _) = driver.into_output();
-        intra_costs.push(start.elapsed().as_secs_f64());
+        let (counters, completed, events) = run_counted(&intra_spec(home, seed));
         assert!(completed, "intra-home fleet home {home} failed to quiesce");
+        intra_costs.push(events);
         intra_reference.push(HomeRun {
             home,
             seed,
@@ -411,104 +354,78 @@ fn main() {
     let heavy_spec = intra_spec(0, home_seed(SERVICE_SEED, 0));
     let partition = cluster::plan(&heavy_spec)
         .expect("the zoned workshop must pass the cluster gate and split");
-    let cluster_costs: Vec<f64> = build_sub_specs(&heavy_spec, &partition)
+    let cluster_costs: Vec<u64> = build_sub_specs(&heavy_spec, &partition)
         .iter()
         .map(|sub| {
-            let start = Instant::now();
-            let mut driver = Driver::with_sink(sub, RunCounters::new());
-            assert!(driver.run_to_quiescence(), "workshop cluster stalled");
-            start.elapsed().as_secs_f64()
+            let (_, completed, events) = run_counted(sub);
+            assert!(completed, "workshop cluster stalled");
+            events
         })
         .collect();
-    let intra_total: f64 = intra_costs.iter().sum();
+    let intra_total: u64 = intra_costs.iter().sum();
     let heavy_cost = intra_costs[0];
-    let max_cluster_cost = cluster_costs.iter().cloned().fold(0.0, f64::max);
+    let max_cluster_cost = cluster_costs.iter().copied().max().unwrap_or(0);
     // Whole-home scheduling's floor is the heaviest home; sub-slicing
     // replaces that home's cost with its per-cluster costs and the
     // floor drops to the heaviest schedulable unit.
-    let modeled_steal_only_s = stealing_makespan(&intra_costs, INTRA_WORKERS);
+    let modeled_whole_home = makespan_bound(&intra_costs, INTRA_WORKERS);
     let mut unit_costs = cluster_costs.clone();
     unit_costs.extend_from_slice(&intra_costs[1..]);
-    let modeled_intra_s = stealing_makespan(&unit_costs, INTRA_WORKERS);
-    let intra_ratio = modeled_steal_only_s / modeled_intra_s;
+    let modeled_intra = makespan_bound(&unit_costs, INTRA_WORKERS);
+    let intra_ratio = modeled_whole_home / modeled_intra;
     eprintln!(
         "intra: {INTRA_HOMES} homes, workshop of {} clusters ({INTRA_ZONES} zones x \
-         {INTRA_RPZ} routines) at {:.2} of total cost; modeled @ {INTRA_WORKERS} \
-         workers: steal-only {modeled_steal_only_s:.3}s vs sub-sliced \
-         {modeled_intra_s:.3}s = {intra_ratio:.2}x",
+         {INTRA_RPZ} routines) at {:.2} of all events; modeled @ {INTRA_WORKERS} \
+         workers: whole-home {modeled_whole_home:.0} vs sub-sliced {modeled_intra:.0} \
+         events = {intra_ratio:.2}x",
         partition.clusters.len(),
-        heavy_cost / intra_total
+        heavy_cost as f64 / intra_total as f64
     );
 
-    let mut intra_rows = Vec::new();
-    let mut intra_neutral = true;
-    let mut intra_homes_split = 0u64;
-    let mut intra_fallbacks = 0u64;
-    for workers in WORKER_COUNTS {
-        let start = Instant::now();
-        let split = run_service_with(
-            INTRA_HOMES,
-            workers,
-            SERVICE_SEED,
-            ServiceConfig::new(EPOCH).with_intra_home(cluster::planner()),
-            intra_spec,
-        );
-        let elapsed = start.elapsed().as_secs_f64();
-        intra_neutral &= same_homes(
-            &format!("intra @ {workers} workers"),
-            &intra_reference,
-            &split.homes,
-        );
-        intra_homes_split = intra_homes_split.max(split.intra_homes);
-        intra_fallbacks = intra_fallbacks.max(split.intra_fallbacks);
-        let oversubscribed = workers > cpus;
-        let mut row = vec![
-            ("workers", Json::from(workers as u64)),
-            ("elapsed_s", Json::Float(round3(elapsed))),
-            ("steals", Json::from(split.steals())),
-            ("intra_homes", Json::from(split.intra_homes)),
-            ("intra_fallbacks", Json::from(split.intra_fallbacks)),
-        ];
-        if oversubscribed {
-            eprintln!(
-                "intra @ {workers} worker(s): {elapsed:.3}s (digest {:#018x}); wallclock \
-                 skipped: only {cpus} core(s) available",
-                split.digest()
-            );
-            row.push(("skipped", Json::from(true)));
-            row.push((
-                "reason",
-                Json::from(format!(
-                    "available_parallelism = {cpus} < {workers} workers: the wallclock \
-                     measures thread oversubscription, not scheduling; the modeled \
-                     makespan is the authoritative speedup basis"
-                )),
-            ));
-        } else {
-            eprintln!(
-                "intra @ {workers} worker(s): {elapsed:.3}s, {} slices, {} split home(s), \
-                 {} fallback(s) (digest {:#018x})",
-                split.slices,
-                split.intra_homes,
-                split.intra_fallbacks,
-                split.digest()
-            );
-        }
-        intra_rows.push(Json::Obj(
-            row.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
-        ));
+    let split_runs: Vec<ServiceResult> = WORKER_COUNTS
+        .iter()
+        .map(|&workers| {
+            run_service_with(
+                INTRA_HOMES,
+                workers,
+                SERVICE_SEED,
+                ServiceConfig::new(EPOCH).with_intra_home(cluster::planner()),
+                intra_spec,
+            )
+        })
+        .collect();
+    let split = &split_runs[0];
+    let mut intra_neutral = same_homes("intra @ 1 worker", &intra_reference, &split.homes);
+    for (workers, result) in WORKER_COUNTS.iter().zip(&split_runs).skip(1) {
+        intra_neutral &= same_run(&format!("intra @ {workers} workers"), split, result);
+        intra_neutral &= (result.intra_homes, result.intra_fallbacks)
+            == (split.intra_homes, split.intra_fallbacks);
     }
     // The planner-off run over the same fleet: sub-slicing must change
     // the schedule only, never the results.
-    let steal_only = run_service_with(
+    let whole_home = run_service_with(
         INTRA_HOMES,
         INTRA_WORKERS,
         SERVICE_SEED,
         ServiceConfig::new(EPOCH),
         intra_spec,
     );
-    intra_neutral &= same_homes("intra off", &intra_reference, &steal_only.homes);
-    ok &= intra_neutral && intra_homes_split >= 1 && intra_fallbacks == 0;
+    intra_neutral &= same_homes("intra off", &intra_reference, &whole_home.homes);
+    eprintln!(
+        "intra: {} slices, {} split home(s), {} fallback(s), digest-neutral: {intra_neutral}",
+        split.slices, split.intra_homes, split.intra_fallbacks
+    );
+    let split_as_planned = partition.clusters.len() == INTRA_ZONES
+        && split.intra_homes >= 1
+        && split.intra_fallbacks == 0
+        && intra_ratio >= MIN_INTRA_SPEEDUP;
+    if !split_as_planned {
+        eprintln!(
+            "intra: expected the workshop to split into {INTRA_ZONES} clusters with no \
+             merge fallback and a modeled speedup >= {MIN_INTRA_SPEEDUP}x"
+        );
+    }
+    ok &= intra_neutral && split_as_planned;
     let intra_section = obj([
         (
             "description",
@@ -527,39 +444,42 @@ fn main() {
         ("workers", Json::from(INTRA_WORKERS as u64)),
         ("rate_per_home_hour", Json::from(INTRA_RATE)),
         ("horizon_minutes", Json::from(INTRA_HORIZON_MINS)),
-        ("available_parallelism", Json::from(cpus as u64)),
         ("clusters", Json::from(partition.clusters.len() as u64)),
-        ("sequential_cost_s", Json::Float(round3(intra_total))),
+        ("sequential_events", Json::from(intra_total)),
         (
-            "heavy_cost_fraction",
-            Json::Float(round3(heavy_cost / intra_total)),
+            "heavy_event_fraction",
+            Json::Float(round3(heavy_cost as f64 / intra_total as f64)),
         ),
-        ("max_cluster_cost_s", Json::Float(round3(max_cluster_cost))),
+        ("max_cluster_events", Json::from(max_cluster_cost)),
         (
             "modeled_makespan",
             obj([
                 (
                     "method",
                     Json::from(
-                        "per-home costs measured sequentially, the workshop's \
-                         per-cluster costs over the same sub-specs the service runner \
-                         executes; both bounds are work-conserving \
+                        "cost = backend events a unit pops when run alone: per home \
+                         sequentially, per cluster over the same sub-specs the service \
+                         runner executes; both bounds are work-conserving \
                          max(total/workers, heaviest unit) — the unit is a whole home \
-                         under steal-only and a conflict cluster under sub-slicing",
+                         without the planner and a conflict cluster with it",
                     ),
                 ),
-                ("steal_only_s", Json::Float(round3(modeled_steal_only_s))),
-                ("intra_s", Json::Float(round3(modeled_intra_s))),
-                ("intra_speedup_over_steal", Json::Float(round3(intra_ratio))),
+                ("whole_home_events", Json::Float(round3(modeled_whole_home))),
+                ("intra_events", Json::Float(round3(modeled_intra))),
+                (
+                    "intra_speedup_over_whole_home",
+                    Json::Float(round3(intra_ratio)),
+                ),
             ]),
         ),
-        ("results", Json::Arr(intra_rows)),
-        ("intra_homes", Json::from(intra_homes_split)),
-        ("intra_fallbacks", Json::from(intra_fallbacks)),
+        ("slices", Json::from(split.slices)),
+        ("intra_homes", Json::from(split.intra_homes)),
+        ("intra_fallbacks", Json::from(split.intra_fallbacks)),
         ("digest_neutral", Json::from(intra_neutral)),
     ]);
 
-    let section = obj([
+    let doc = obj([
+        ("benchmark", Json::from("service")),
         (
             "description",
             Json::from(
@@ -567,50 +487,37 @@ fn main() {
                  (diurnal curve + seeded burst windows) over resident homes, \
                  advanced in epoch slices off one shared timer wheel; latency \
                  percentiles are simulated-time milliseconds from the \
-                 constant-memory fleet histogram (machine-independent); \
+                 constant-memory fleet histogram; every value is deterministic; \
                  determinism, batch-parity and eviction-digest cross-checks \
                  are enforced",
             ),
         ),
-        ("homes", Json::from(homes as u64)),
+        ("homes", Json::from(HOMES as u64)),
         ("fleet_seed", Json::from(SERVICE_SEED)),
-        ("horizon_minutes", Json::from(horizon_minutes)),
+        ("horizon_minutes", Json::from(HORIZON_MINS)),
         ("epoch_ms", Json::from(EPOCH.as_millis())),
         ("burst_windows", Json::from(BURSTS as u64)),
-        ("available_parallelism", Json::from(cpus as u64)),
+        (
+            "workers",
+            Json::Arr(WORKER_COUNTS.map(|w| Json::from(w as u64)).into()),
+        ),
         ("deterministic_across_workers", Json::from(deterministic)),
         ("matches_batch_fleet", Json::from(matches_batch)),
         ("load_points", Json::Arr(load_rows)),
         ("eviction", eviction_section),
         ("intra_home", intra_section),
     ]);
-
-    // Merge into an existing artifact when one is present: replace any
-    // prior `service` section, keep everything else byte-for-byte.
-    let doc = match std::fs::read_to_string(&out_path) {
-        Ok(text) => match Json::parse(&text) {
-            Ok(Json::Obj(mut members)) => {
-                members.retain(|(k, _)| k != "service");
-                members.push(("service".to_string(), section));
-                Json::Obj(members)
-            }
-            Ok(_) | Err(_) => {
-                eprintln!("{out_path} exists but is not a JSON object; writing service-only");
-                obj([("benchmark", Json::from("service")), ("service", section)])
-            }
-        },
-        Err(_) => obj([("benchmark", Json::from("service")), ("service", section)]),
-    };
     if let Err(e) = std::fs::write(&out_path, doc.to_string_pretty() + "\n") {
         eprintln!("cannot write {out_path}: {e}");
         std::process::exit(1);
     }
-    eprintln!("wrote {out_path} (service section)");
+    eprintln!("wrote {out_path}");
 
     if !ok {
         eprintln!(
-            "FAIL: resident service runs diverged across worker counts or from \
-             the batch fleet driver"
+            "FAIL: resident service runs diverged across worker counts, from the batch \
+             fleet driver or under eviction or sub-slicing, or an eviction or split \
+             invariant broke"
         );
         std::process::exit(1);
     }

@@ -219,20 +219,6 @@ pub fn run_trials_counters_inspect(
     agg
 }
 
-/// Cores visible to this process (`std::thread::available_parallelism`),
-/// clamped to at least 1.
-///
-/// Every bench JSON section records this value: wall-clock numbers
-/// (throughput, speedups) are only comparable between runs taken on
-/// similar core counts, and a regression gate reading a section needs to
-/// know which machine shape produced it without consulting the file's
-/// top level.
-pub fn available_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// Formats a counters digest for experiment output.
 pub fn digest_line(label: &str, digest: u64) -> String {
     format!("{label} counters digest: {digest:#018x}\n")
