@@ -671,7 +671,8 @@ impl Model for EvModel {
 
     fn check_invariants(&self) -> Result<(), String> {
         // Non-strict: JiT pre-leases legitimately jump planned times.
-        self.table.validate(false)
+        self.table.validate(false)?;
+        self.order.check_invariants()
     }
 }
 

@@ -67,8 +67,8 @@ pub trait Model {
     fn committed_states(&self) -> BTreeMap<DeviceId, Value>;
 
     /// Checks the model's internal invariants (lineage-table invariants
-    /// and derived-cache consistency for EV). Models without internal
-    /// locking state have nothing to check.
+    /// and derived-cache consistency for EV, the order tracker's closure
+    /// for EV and PSV). Models without such state have nothing to check.
     fn check_invariants(&self) -> Result<(), String> {
         Ok(())
     }

@@ -383,6 +383,10 @@ impl Model for PsvModel {
     fn committed_states(&self) -> BTreeMap<DeviceId, Value> {
         self.committed.clone()
     }
+
+    fn check_invariants(&self) -> Result<(), String> {
+        self.order.check_invariants()
+    }
 }
 
 #[cfg(test)]

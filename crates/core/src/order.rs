@@ -13,8 +13,19 @@
 //! along with their constraints — they "do not appear in the final
 //! serialized order"). The metrics crate replays the witness order to
 //! verify serial equivalence and to compute the order-mismatch metric.
+//!
+//! Reachability is cached as a transitive closure sized by the routines
+//! still pending, not by the run's history: one bitset row per pending
+//! routine, over columns naming the nodes some pending routine reaches.
+//! A column is recycled once no row holds it. The cache is exact for
+//! every query the schedulers make: the preSet/postSet test starts at
+//! lineage owners, which are pending because commit compaction and abort
+//! removal clear finished routines' entries, and every node a pending
+//! routine reaches keeps its column while the routine is pending. A
+//! query from any other node walks the raw graph, which keeps every
+//! constraint except those of aborted routines.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{btree_map::Entry, BTreeMap, BTreeSet};
 
 use safehome_types::{trace::OrderItem, DeviceId, RoutineId, Timestamp};
 
@@ -59,47 +70,59 @@ impl BitRow {
             .is_some_and(|w| w & (1 << (i % 64)) != 0)
     }
 
-    /// ORs `other` in; returns `true` if any bit changed.
-    fn or_assign(&mut self, other: &BitRow) -> bool {
+    fn or_assign(&mut self, other: &BitRow) {
         if other.0.len() > self.0.len() {
             self.0.resize(other.0.len(), 0);
         }
-        let mut changed = false;
         for (w, &o) in self.0.iter_mut().zip(&other.0) {
-            let next = *w | o;
-            changed |= next != *w;
-            *w = next;
+            *w |= o;
         }
-        changed
     }
 
-    fn clear(&mut self) {
-        self.0.clear();
+    /// The set bits, ascending.
+    fn ones(&self) -> impl Iterator<Item = u32> + '_ {
+        self.0.iter().enumerate().flat_map(|(i, &w)| {
+            (0..64u32)
+                .filter(move |b| w & (1 << b) != 0)
+                .map(move |b| i as u32 * 64 + b)
+        })
     }
 }
 
 /// The partial-order tracker.
 ///
-/// Alongside the raw constraint graph it maintains the full transitive
-/// closure as per-node bitset rows, updated incrementally on every edge
-/// insertion — so [`OrderTracker::reaches`] and
-/// [`OrderTracker::placement_conflicts`] (the per-gap test of the
-/// Timeline planner's inner loop, Fig. 15d) are O(1) bit probes instead
-/// of a DFS per query. Removing an aborted routine rebuilds the closure;
-/// aborts are rare next to placement probes.
+/// The raw constraint graph (`edges`, with `succ` and `pred` adjacency)
+/// keeps every constraint of the run. Beside it, each *pending* routine
+/// has a closure row: bit `c` is set iff the routine reaches the node
+/// owning column `c`, its own column included. [`OrderTracker::reaches`]
+/// and [`OrderTracker::placement_conflicts`] (the per-gap test of the
+/// Timeline planner's inner loop, Fig. 15d) from a pending routine are
+/// bit probes; from any other node they walk the raw graph.
+///
+/// Every update touches only the pending rows, however long the run:
+/// - an edge `a → b` ORs `b`'s reach set into the rows holding `a`, and
+///   changes no row when no pending routine reaches `a`; the reach set is
+///   `b`'s row when `b` is pending, otherwise a walk of the raw graph;
+/// - a commit drops the routine's row;
+/// - an abort deletes the routine's edges and recomputes only the rows
+///   that held its column.
+///
+/// Once a row is dropped, columns no row holds any more are recycled.
 #[derive(Debug, Clone, Default)]
 pub struct OrderTracker {
     nodes: BTreeMap<OrderNode, NodeInfo>,
     edges: BTreeSet<(OrderNode, OrderNode)>,
     succ: BTreeMap<OrderNode, Vec<OrderNode>>,
+    pred: BTreeMap<OrderNode, Vec<OrderNode>>,
     next_event_seq: u32,
-    /// Dense slot assignment for closure rows.
-    index: BTreeMap<OrderNode, u32>,
-    /// Slots freed by removed routines, reused by later nodes.
-    free_slots: Vec<u32>,
-    /// `reach[i]` holds bit `j` iff slot `i`'s node reaches slot `j`'s
-    /// (every row includes its own bit).
-    reach: Vec<BitRow>,
+    /// The closure row of every pending routine.
+    rows: BTreeMap<RoutineId, BitRow>,
+    /// The column of every node some row holds.
+    col: BTreeMap<OrderNode, u32>,
+    /// The node owning each column; `None` marks a recycled column.
+    col_node: Vec<Option<OrderNode>>,
+    /// Recycled columns, reused lowest first.
+    free_cols: BTreeSet<u32>,
 }
 
 impl OrderTracker {
@@ -108,64 +131,113 @@ impl OrderTracker {
         Self::default()
     }
 
-    fn slot(&mut self, n: OrderNode) -> u32 {
-        if let Some(&i) = self.index.get(&n) {
-            return i;
+    fn column(&mut self, n: OrderNode) -> u32 {
+        if let Some(&c) = self.col.get(&n) {
+            return c;
         }
-        let i = self.free_slots.pop().unwrap_or(self.reach.len() as u32);
-        if i as usize == self.reach.len() {
-            self.reach.push(BitRow::default());
+        let c = match self.free_cols.pop_first() {
+            Some(c) => {
+                self.col_node[c as usize] = Some(n);
+                c
+            }
+            None => {
+                self.col_node.push(Some(n));
+                self.col_node.len() as u32 - 1
+            }
+        };
+        self.col.insert(n, c);
+        c
+    }
+
+    /// The closure row of `n` if it is a pending routine.
+    fn row_of(&self, n: OrderNode) -> Option<&BitRow> {
+        match n {
+            OrderNode::Routine(r) => self.rows.get(&r),
+            _ => None,
         }
-        self.reach[i as usize].clear();
-        self.reach[i as usize].set(i);
-        self.index.insert(n, i);
-        i
+    }
+
+    /// Every node `from` reaches in the raw graph, itself included.
+    fn walk(&self, from: OrderNode) -> BTreeSet<OrderNode> {
+        let mut seen = BTreeSet::new();
+        let mut stack = vec![from];
+        while let Some(n) = stack.pop() {
+            if seen.insert(n) {
+                if let Some(next) = self.succ.get(&n) {
+                    stack.extend(next);
+                }
+            }
+        }
+        seen
+    }
+
+    /// `from`'s reach set as a row, allocating columns for its nodes.
+    fn walk_row(&mut self, from: OrderNode) -> BitRow {
+        let mut row = BitRow::default();
+        for n in self.walk(from) {
+            let c = self.column(n);
+            row.set(c);
+        }
+        row
+    }
+
+    /// Frees every column no row holds.
+    fn recycle_columns(&mut self) {
+        let mut held = BitRow::default();
+        for row in self.rows.values() {
+            held.or_assign(row);
+        }
+        for (c, owner) in self.col_node.iter_mut().enumerate() {
+            if let Some(n) = owner.filter(|_| !held.test(c as u32)) {
+                self.col.remove(&n);
+                *owner = None;
+                self.free_cols.insert(c as u32);
+            }
+        }
     }
 
     /// Registers a routine node (pending until committed or removed).
     /// Re-registration is a no-op, matching `BTreeMap::entry` semantics.
     pub fn add_routine(&mut self, r: RoutineId, submitted: Timestamp) {
         let node = OrderNode::Routine(r);
-        if let std::collections::btree_map::Entry::Vacant(e) = self.nodes.entry(node) {
+        if let Entry::Vacant(e) = self.nodes.entry(node) {
             e.insert(NodeInfo {
                 time: submitted,
                 device: None,
                 committed: false,
             });
-            self.slot(node);
+            let row = self.walk_row(node);
+            self.rows.insert(r, row);
         }
+    }
+
+    fn new_event(
+        &mut self,
+        node: fn(u32) -> OrderNode,
+        device: DeviceId,
+        at: Timestamp,
+    ) -> OrderNode {
+        let node = node(self.next_event_seq);
+        self.next_event_seq += 1;
+        self.nodes.insert(
+            node,
+            NodeInfo {
+                time: at,
+                device: Some(device),
+                committed: true,
+            },
+        );
+        node
     }
 
     /// Registers a new failure event for `device`, returning its node.
     pub fn new_failure(&mut self, device: DeviceId, at: Timestamp) -> OrderNode {
-        let node = OrderNode::Failure(self.next_event_seq);
-        self.next_event_seq += 1;
-        self.nodes.insert(
-            node,
-            NodeInfo {
-                time: at,
-                device: Some(device),
-                committed: true,
-            },
-        );
-        self.slot(node);
-        node
+        self.new_event(OrderNode::Failure, device, at)
     }
 
     /// Registers a new restart event for `device`, returning its node.
     pub fn new_restart(&mut self, device: DeviceId, at: Timestamp) -> OrderNode {
-        let node = OrderNode::Restart(self.next_event_seq);
-        self.next_event_seq += 1;
-        self.nodes.insert(
-            node,
-            NodeInfo {
-                time: at,
-                device: Some(device),
-                committed: true,
-            },
-        );
-        self.slot(node);
-        node
+        self.new_event(OrderNode::Restart, device, at)
     }
 
     /// Adds the constraint `a` serializes before `b`. Self-edges are
@@ -178,19 +250,28 @@ impl OrderTracker {
             !self.reaches(b, a),
             "order edge {a:?} -> {b:?} would create a cycle"
         );
-        if self.edges.insert((a, b)) {
-            self.succ.entry(a).or_default().push(b);
-            let ia = self.slot(a);
-            let ib = self.slot(b);
-            if !self.reach[ia as usize].test(ib) {
-                // Everything that reaches `a` (including `a`) now also
-                // reaches everything `b` reaches.
-                let row_b = self.reach[ib as usize].clone();
-                for i in 0..self.reach.len() {
-                    if self.reach[i].test(ia) {
-                        self.reach[i].or_assign(&row_b);
-                    }
-                }
+        if !self.edges.insert((a, b)) {
+            return;
+        }
+        self.succ.entry(a).or_default().push(b);
+        self.pred.entry(b).or_default().push(a);
+        // Only rows holding `a` gain anything, and a row that already
+        // holds `b` holds everything `b` reaches.
+        let Some(&ca) = self.col.get(&a) else {
+            return;
+        };
+        let cb = self.col.get(&b).copied();
+        let gains = |row: &BitRow| row.test(ca) && !cb.is_some_and(|cb| row.test(cb));
+        if !self.rows.values().any(gains) {
+            return;
+        }
+        let reach_b = match self.row_of(b) {
+            Some(row) => row.clone(),
+            None => self.walk_row(b),
+        };
+        for row in self.rows.values_mut() {
+            if row.test(ca) {
+                row.or_assign(&reach_b);
             }
         }
     }
@@ -200,15 +281,15 @@ impl OrderTracker {
         self.add_edge(OrderNode::Routine(before), OrderNode::Routine(after));
     }
 
-    /// `true` if a path `from → … → to` exists. O(1): a closure bit
-    /// probe.
+    /// `true` if a path `from → … → to` exists. A closure bit probe when
+    /// `from` is a pending routine, a walk of the raw graph otherwise.
     pub fn reaches(&self, from: OrderNode, to: OrderNode) -> bool {
         if from == to {
             return true;
         }
-        match (self.index.get(&from), self.index.get(&to)) {
-            (Some(&i), Some(&j)) => self.reach[i as usize].test(j),
-            _ => false,
+        match self.row_of(from) {
+            Some(row) => self.col.get(&to).is_some_and(|&c| row.test(c)),
+            None => self.walk(from).contains(&to),
         }
     }
 
@@ -216,23 +297,21 @@ impl OrderTracker {
     /// True when some member of `post` already reaches some member of
     /// `pre` (Algorithm 1's preSet/postSet test, strengthened to the
     /// transitive closure — the paper checks only direct intersection,
-    /// which misses cycles through third routines). Each pair costs one
-    /// closure bit probe.
+    /// which misses cycles through third routines). For a pending member
+    /// of `post` each pair costs one closure bit probe.
     pub fn placement_conflicts(&self, pre: &[RoutineId], post: &[RoutineId]) -> bool {
-        for &q in post {
-            let iq = self.index.get(&OrderNode::Routine(q));
-            for &p in pre {
-                if q == p {
-                    return true;
-                }
-                if let (Some(&iq), Some(&ip)) = (iq, self.index.get(&OrderNode::Routine(p))) {
-                    if self.reach[iq as usize].test(ip) {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
+        post.iter().any(|&q| match self.rows.get(&q) {
+            Some(row) => pre.iter().any(|&p| {
+                p == q
+                    || self
+                        .col
+                        .get(&OrderNode::Routine(p))
+                        .is_some_and(|&c| row.test(c))
+            }),
+            None => pre
+                .iter()
+                .any(|&p| self.reaches(OrderNode::Routine(q), OrderNode::Routine(p))),
+        })
     }
 
     /// Marks a routine committed (it will appear in the witness order).
@@ -240,6 +319,9 @@ impl OrderTracker {
         if let Some(info) = self.nodes.get_mut(&OrderNode::Routine(r)) {
             info.committed = true;
             info.time = at;
+            if self.rows.remove(&r).is_some() {
+                self.recycle_columns();
+            }
         }
     }
 
@@ -247,39 +329,93 @@ impl OrderTracker {
     pub fn remove_routine(&mut self, r: RoutineId) {
         let node = OrderNode::Routine(r);
         self.nodes.remove(&node);
-        self.edges.retain(|&(a, b)| a != node && b != node);
-        self.succ.remove(&node);
-        for (_, next) in self.succ.iter_mut() {
-            next.retain(|&m| m != node);
-        }
-        if let Some(i) = self.index.remove(&node) {
-            self.reach[i as usize].clear();
-            self.free_slots.push(i);
-            self.rebuild_closure();
-        }
-    }
-
-    /// Recomputes every closure row from the edge set (used after node
-    /// removal, which can only shrink reachability).
-    fn rebuild_closure(&mut self) {
-        for (&n, &i) in &self.index {
-            self.reach[i as usize].clear();
-            self.reach[i as usize].set(i);
-            let _ = n;
-        }
-        // Propagate to a fixpoint; the graph is a DAG and small, so the
-        // quadratic worst case is irrelevant next to abort frequency.
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &(a, b) in &self.edges {
-                let (Some(&ia), Some(&ib)) = (self.index.get(&a), self.index.get(&b)) else {
-                    continue;
-                };
-                let row_b = self.reach[ib as usize].clone();
-                changed |= self.reach[ia as usize].or_assign(&row_b);
+        for s in self.succ.remove(&node).unwrap_or_default() {
+            self.edges.remove(&(node, s));
+            if let Some(p) = self.pred.get_mut(&s) {
+                p.retain(|&m| m != node);
             }
         }
+        for p in self.pred.remove(&node).unwrap_or_default() {
+            self.edges.remove(&(p, node));
+            if let Some(s) = self.succ.get_mut(&p) {
+                s.retain(|&m| m != node);
+            }
+        }
+        self.rows.remove(&r);
+        if let Some(&c) = self.col.get(&node) {
+            // Only rows that reached the routine can lose anything.
+            let stale: Vec<RoutineId> = self
+                .rows
+                .iter()
+                .filter(|(_, row)| row.test(c))
+                .map(|(&q, _)| q)
+                .collect();
+            for q in stale {
+                let row = self.walk_row(OrderNode::Routine(q));
+                self.rows.insert(q, row);
+            }
+        }
+        self.recycle_columns();
+    }
+
+    /// Checks the closure against the raw graph: rows exist for exactly
+    /// the pending routines, each row is its routine's reach set in the
+    /// raw graph, every live column is held by some row, and no row holds
+    /// a recycled column.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let pending: Vec<RoutineId> = self
+            .nodes
+            .iter()
+            .filter_map(|(&n, info)| match n {
+                OrderNode::Routine(r) if !info.committed => Some(r),
+                _ => None,
+            })
+            .collect();
+        let rows: Vec<RoutineId> = self.rows.keys().copied().collect();
+        if rows != pending {
+            return Err(format!(
+                "order closure has rows for {rows:?}, pending routines are {pending:?}"
+            ));
+        }
+        let mut held = BitRow::default();
+        for (&r, row) in &self.rows {
+            held.or_assign(row);
+            let mut nodes = BTreeSet::new();
+            for c in row.ones() {
+                match self.col_node.get(c as usize).copied().flatten() {
+                    Some(n) => nodes.insert(n),
+                    None => return Err(format!("order closure row of {r} holds free column {c}")),
+                };
+            }
+            let want = self.walk(OrderNode::Routine(r));
+            if nodes != want {
+                return Err(format!(
+                    "order closure row of {r} holds {nodes:?}, the graph reaches {want:?}"
+                ));
+            }
+        }
+        for (c, owner) in self.col_node.iter().enumerate() {
+            let c = c as u32;
+            let ok = match owner {
+                Some(n) => self.col.get(n) == Some(&c) && held.test(c),
+                None => self.free_cols.contains(&c),
+            };
+            if !ok {
+                return Err(format!(
+                    "order closure column {c} ({owner:?}) is neither held nor free"
+                ));
+            }
+        }
+        if self.col.len() + self.free_cols.len() != self.col_node.len() {
+            return Err("order closure column maps disagree".into());
+        }
+        Ok(())
+    }
+
+    /// Closure rows and columns (the bitset width), for size tests.
+    #[cfg(test)]
+    fn closure_size(&self) -> (usize, usize) {
+        (self.rows.len(), self.col_node.len())
     }
 
     /// Device associated with an event node.
@@ -473,6 +609,67 @@ mod tests {
         ord.add_routine(r(2), t(1));
         ord.mark_committed(r(1), t(5));
         assert_eq!(ord.witness_order(), vec![OrderItem::Routine(r(1))]);
+    }
+
+    #[test]
+    fn closure_is_sized_by_pending_routines() {
+        // 5,000 routines through one shared device, up to four pending
+        // at a time. Each serializes after the previous committed user
+        // and after the routines still pending on the device; usually the
+        // oldest finishes first, but every 7th step the second oldest
+        // overtakes it (a post-lease) and leaves a committed node inside
+        // the oldest one's closure. Every 50th routine aborts, and every
+        // 500th is followed by a failure/restart pair (rule 3 into the
+        // failure, rule 2 out of the restart).
+        let d = DeviceId(0);
+        let mut ord = OrderTracker::new();
+        let mut pending: Vec<u64> = Vec::new();
+        let mut last_committed = None;
+        let mut last_event = None;
+        let (mut max_cols, mut committed, mut events) = (0, 0, 0);
+        for i in 1..=5_000u64 {
+            ord.add_routine(r(i), t(i));
+            if let Some(prev) = last_committed {
+                ord.order_routines(prev, r(i));
+            }
+            if let Some(ev) = last_event {
+                ord.add_edge(ev, OrderNode::Routine(r(i)));
+            }
+            for &p in &pending {
+                ord.order_routines(r(p), r(i));
+            }
+            pending.push(i);
+            if i.is_multiple_of(500) {
+                let f = ord.new_failure(d, t(i));
+                if let Some(prev) = last_event {
+                    ord.add_edge(prev, f);
+                }
+                ord.add_edge(OrderNode::Routine(r(i)), f);
+                let re = ord.new_restart(d, t(i));
+                ord.add_edge(f, re);
+                last_event = Some(re);
+                events += 2;
+            }
+            if pending.len() == 4 {
+                let done = pending.remove(usize::from(i.is_multiple_of(7)));
+                if done.is_multiple_of(50) {
+                    ord.remove_routine(r(done));
+                } else {
+                    ord.mark_committed(r(done), t(i));
+                    last_committed = Some(r(done));
+                    committed += 1;
+                }
+            }
+            let (rows, cols) = ord.closure_size();
+            assert!(rows <= pending.len(), "step {i}: {rows} rows");
+            max_cols = max_cols.max(cols);
+            if i.is_multiple_of(97) {
+                ord.check_invariants().unwrap();
+            }
+        }
+        assert!(max_cols <= 8, "closure grew to {max_cols} columns");
+        ord.check_invariants().unwrap();
+        assert_eq!(ord.witness_order().len(), committed + events);
     }
 
     #[test]

@@ -16,8 +16,17 @@ BENCHMARK.json.
 Each row names a workload, a metric of the run (an end-to-end metric or,
 from `--trace 1`, a per-layer one) and the largest slowdown allowed against
 the reference. Slowdown is reference/run for a metric where higher is
-better and run/reference otherwise. Exit status 0 when every row holds, 1
-when one fails, 2 on unreadable input.
+better and run/reference otherwise.
+
+Same-run rows read no reference: each bounds the ratio of two metrics of
+one traced run. Both come from the same machine and the same moment, so
+the ratio holds across machines and can be tight. The rows bound the
+mean event step of a run's last quarter of events against its first,
+which catches per-event cost that grows with a home's history in any
+layer.
+
+Exit status 0 when every row holds, 1 when one fails, 2 on unreadable
+input.
 """
 
 import json
@@ -37,6 +46,16 @@ FLOORS = [
     ("service_evict", "journal.replay_ns_per_record", False, 2.5, "journal replay"),
     ("workshop_intra", "lint.plan_ms", False, 4.0, "lint cluster planning"),
     ("neighborhood_batch", "timeline.place_us.paper", False, 2.5, "Fig. 15d placement"),
+]
+
+# (workload, numerator, denominator, largest ratio allowed, path guarded);
+# both metrics come from the run itself. An order-tracker closure sized by
+# history put both ratios at about 7.5; a flat run reads about 1.
+SAME_RUN = [
+    ("service_day", "runtime.step_ns.last_quarter", "runtime.step_ns.first_quarter", 2.0,
+     "per-event cost through a day-long home"),
+    ("workshop_intra", "runtime.step_ns.last_quarter", "runtime.step_ns.first_quarter", 2.0,
+     "per-event cost through a workshop run"),
 ]
 
 
@@ -80,6 +99,16 @@ def main(argv):
             verdict = "ok" if slowdown <= limit else f"FAIL: {path} is {slowdown:.2f}x slower"
         ok &= verdict == "ok"
         print(f"{workload} {metric} {r} {b} {slowdown:.2f} {limit} {verdict}")
+    print("workload numerator/denominator ratio limit verdict")
+    for workload, num, den, limit, path in SAME_RUN:
+        n, d = value(run, workload, num), value(run, workload, den)
+        if n is None or d is None or n <= 0 or d <= 0:
+            verdict, ratio = "missing (run with --trace 1 on every workload)", float("nan")
+        else:
+            ratio = n / d
+            verdict = "ok" if ratio <= limit else f"FAIL: {path} grows {ratio:.2f}x"
+        ok &= verdict == "ok"
+        print(f"{workload} {num}/{den} {ratio:.2f} {limit} {verdict}")
     return 0 if ok else 1
 
 
