@@ -288,11 +288,13 @@ fn main() {
         (
             "description",
             Json::from(
-                "journal-backed eviction of cold resident homes: between slices a \
-                 quiescent home collapses to {journal, device states, RNG} and its \
-                 pooled simulator state returns to the thread pool; the next timer \
-                 fire rebuilds it by journal replay — results must be byte-identical \
-                 to a never-evicted run (digest_neutral); counts are from one worker",
+                "eviction of cold resident homes: between slices a quiescent home \
+                 keeps its runtime core (engine, sink, tables) beside a snapshot of \
+                 its world (device states, RNG, pending submissions in pop order), \
+                 and its queue and device storage return to the thread pool; the \
+                 next timer fire resumes the kept core on a backend rebuilt from the \
+                 snapshot — results must be byte-identical to a never-evicted run \
+                 (digest_neutral); counts are from one worker",
             ),
         ),
         ("homes", Json::from(EVICT_HOMES as u64)),

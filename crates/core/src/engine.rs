@@ -142,6 +142,14 @@ impl Engine {
         self.model.committed_states()
     }
 
+    /// Approximate heap bytes of the engine: the boxed model plus its
+    /// history-sized containers as the model reports them (see
+    /// `Model::approx_bytes`). Costs a few steps per container, never a
+    /// walk over the history.
+    pub fn approx_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.model) + self.model.approx_bytes()
+    }
+
     /// Checks the active model's internal invariants — for EV, the §4.3
     /// lineage-table invariants plus derived-cache consistency. Property
     /// tests call this after every event to catch corruption at the

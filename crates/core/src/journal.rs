@@ -343,9 +343,8 @@ impl ExecutionJournal {
     /// Approximate heap footprint of the journal in bytes: the record
     /// vector's capacity times the record size. A lower bound — payload
     /// heap data (routine command vectors, genesis state maps) is not
-    /// chased — but good enough to compare a parked home's durable
-    /// footprint against its resident (queue + device) footprint, which
-    /// is what the service runner's eviction accounting needs.
+    /// chased — but good enough to size a home's durable footprint per
+    /// routine or against its resident (queue + device) footprint.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.events.capacity() * std::mem::size_of::<JournalEvent>()
     }

@@ -29,7 +29,7 @@ use safehome_types::{
 use crate::config::{EngineConfig, SchedulerKind};
 use crate::event::{Effect, EffectBuf, TimerId};
 use crate::lineage::{LineageTable, LockStatus};
-use crate::models::{HealthView, Model};
+use crate::models::{event_log_bytes, HealthView, Model};
 use crate::order::{OrderNode, OrderTracker};
 use crate::runtime::{failure_aborts, guard_passes, irreversible_note, RoutineRun, RunTable};
 use crate::sched::{apply_placement, fcfs, jit, timeline};
@@ -667,6 +667,10 @@ impl Model for EvModel {
 
     fn committed_states(&self) -> BTreeMap<DeviceId, Value> {
         self.table.committed_states()
+    }
+
+    fn approx_bytes(&self) -> usize {
+        self.order.approx_bytes() + event_log_bytes(&self.event_log)
     }
 
     fn check_invariants(&self) -> Result<(), String> {

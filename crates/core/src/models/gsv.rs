@@ -253,6 +253,10 @@ impl Model for GsvModel {
     fn committed_states(&self) -> BTreeMap<DeviceId, Value> {
         self.committed.clone()
     }
+
+    fn approx_bytes(&self) -> usize {
+        self.order.capacity() * std::mem::size_of::<OrderItem>()
+    }
 }
 
 #[cfg(test)]

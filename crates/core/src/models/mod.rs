@@ -23,6 +23,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use safehome_types::{DeviceId, RoutineId, Timestamp, Value};
 
 use crate::event::{EffectBuf, TimerId};
+use crate::order::OrderNode;
 use crate::runtime::RoutineRun;
 use safehome_types::trace::OrderItem;
 
@@ -66,12 +67,36 @@ pub trait Model {
     /// Committed device states (last committed routine's effect).
     fn committed_states(&self) -> BTreeMap<DeviceId, Value>;
 
+    /// Approximate heap bytes of the model's containers that grow with
+    /// the run's history (order graph, event logs, witness order),
+    /// counted by `len`/`capacity` so the cost is independent of the
+    /// history's length. Models with no history-sized state report what
+    /// they do keep.
+    fn approx_bytes(&self) -> usize;
+
     /// Checks the model's internal invariants (lineage-table invariants
     /// and derived-cache consistency for EV, the order tracker's closure
     /// for EV and PSV). Models without such state have nothing to check.
     fn check_invariants(&self) -> Result<(), String> {
         Ok(())
     }
+}
+
+/// Approximate heap bytes of a `BTreeMap<K, V>` or `BTreeSet<K>` (`V =
+/// ()`) holding `len` entries: the entries themselves, ignoring node
+/// slack.
+pub(crate) fn tree_bytes<K, V>(len: usize) -> usize {
+    len * (std::mem::size_of::<K>() + std::mem::size_of::<V>())
+}
+
+/// Approximate heap bytes of a per-device event log (EV and PSV): one
+/// step per device, each list counted by capacity.
+pub(crate) fn event_log_bytes(log: &BTreeMap<DeviceId, Vec<OrderNode>>) -> usize {
+    tree_bytes::<DeviceId, Vec<OrderNode>>(log.len())
+        + log
+            .values()
+            .map(|nodes| nodes.capacity() * std::mem::size_of::<OrderNode>())
+            .sum::<usize>()
 }
 
 /// The engine's belief about device health, driven purely by detector

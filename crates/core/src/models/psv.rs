@@ -16,7 +16,7 @@ use safehome_types::{
 };
 
 use crate::event::{Effect, EffectBuf, TimerId};
-use crate::models::{HealthView, Model};
+use crate::models::{event_log_bytes, tree_bytes, HealthView, Model};
 use crate::order::{OrderNode, OrderTracker};
 use crate::runtime::{failure_aborts, guard_passes, plan_rollback, RoutineRun, RunTable};
 
@@ -382,6 +382,14 @@ impl Model for PsvModel {
 
     fn committed_states(&self) -> BTreeMap<DeviceId, Value> {
         self.committed.clone()
+    }
+
+    fn approx_bytes(&self) -> usize {
+        // `prev_holder` gains an entry per lock acquisition and loses one
+        // only on abort, so it grows with history like the order graph.
+        self.order.approx_bytes()
+            + event_log_bytes(&self.event_log)
+            + tree_bytes::<(DeviceId, RoutineId), Option<RoutineId>>(self.prev_holder.len())
     }
 
     fn check_invariants(&self) -> Result<(), String> {

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use safehome_types::{trace::OrderItem, DeviceId, RoutineId, Timestamp, Value};
 
 use crate::event::{Effect, EffectBuf, TimerId};
-use crate::models::Model;
+use crate::models::{tree_bytes, Model};
 use crate::runtime::{RoutineRun, RunTable};
 
 /// The Weak Visibility model.
@@ -141,6 +141,12 @@ impl Model for WvModel {
 
     fn committed_states(&self) -> BTreeMap<DeviceId, Value> {
         self.mirror.clone()
+    }
+
+    fn approx_bytes(&self) -> usize {
+        // WV keeps no order and no event log: only the per-device mirror,
+        // sized by the home rather than by its history.
+        tree_bytes::<DeviceId, Value>(self.mirror.len())
     }
 }
 

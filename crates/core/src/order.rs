@@ -29,6 +29,8 @@ use std::collections::{btree_map::Entry, BTreeMap, BTreeSet};
 
 use safehome_types::{trace::OrderItem, DeviceId, RoutineId, Timestamp};
 
+use crate::models::tree_bytes;
+
 /// A node in the serialization order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OrderNode {
@@ -356,6 +358,25 @@ impl OrderTracker {
             }
         }
         self.recycle_columns();
+    }
+
+    /// Approximate heap bytes, counted by `len`/`capacity` without
+    /// walking anything. The raw graph grows with the run's history: the
+    /// nodes, the edge set, and the `succ`/`pred` lists, which hold each
+    /// edge once apiece. The closure (rows and columns) is sized by the
+    /// pending routines.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        let node = std::mem::size_of::<OrderNode>();
+        let row_words = self.col_node.capacity().div_ceil(64);
+        tree_bytes::<OrderNode, NodeInfo>(self.nodes.len())
+            + tree_bytes::<(OrderNode, OrderNode), ()>(self.edges.len())
+            + tree_bytes::<OrderNode, Vec<OrderNode>>(self.succ.len() + self.pred.len())
+            + 2 * self.edges.len() * node
+            + tree_bytes::<RoutineId, BitRow>(self.rows.len())
+            + self.rows.len() * row_words * std::mem::size_of::<u64>()
+            + tree_bytes::<OrderNode, u32>(self.col.len())
+            + self.col_node.capacity() * std::mem::size_of::<Option<OrderNode>>()
+            + tree_bytes::<u32, ()>(self.free_cols.len())
     }
 
     /// Checks the closure against the raw graph: rows exist for exactly

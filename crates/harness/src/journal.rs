@@ -652,15 +652,16 @@ mod tests {
         assert_eq!(counters, base);
     }
 
-    /// The service runner's eviction contract: at a *cold* point —
-    /// engine quiescent, world holding nothing but future workload
-    /// submissions — a journaled home may collapse to `{journal,
-    /// device states, RNG}` and discard its pooled simulator state
-    /// entirely. Resurrection (journal replay + world snapshot +
-    /// redrive of the pending submissions at their original absolute
-    /// times) must then be event-for-event invisible: counters, digest
-    /// and end states equal a never-evicted run, through *repeated*
-    /// evict/recover cycles.
+    /// Redrive onto a resurrected world: at a *cold* point — engine
+    /// quiescent, world holding nothing but future workload submissions
+    /// — a journaled home crashes, its backend is torn down to a world
+    /// snapshot whose drained submissions are then dropped, and the core
+    /// is rebuilt by journal replay. Redrive must re-derive exactly those
+    /// submissions from the journal alone, and the continuation must be
+    /// invisible — counters, digest and end states equal a never-crashed
+    /// run — through repeated cycles. (The service runner's eviction keeps
+    /// the core instead and re-schedules the drained submissions itself;
+    /// `service::tests::evicted_home_resumes_event_for_event` pins that.)
     #[test]
     fn quiescent_evict_and_resurrect_matches_unevicted() {
         let mut spec =
@@ -683,7 +684,8 @@ mod tests {
             }
             if evictions < 8 && drv.engine().quiescent() && drv.backend().only_submits_pending() {
                 let (journal, backend) = drv.crash();
-                let (states, rng) = backend.into_world_snapshot();
+                let mut world = backend.into_world_snapshot();
+                let drained = std::mem::take(&mut world.submits);
                 let rec = recover(
                     journal,
                     spec.config.clone(),
@@ -699,7 +701,11 @@ mod tests {
                     rec.report.pending_timers.is_empty(),
                     "cold means no armed timers"
                 );
-                drv = HomeRuntime::resume(rec.core, SimBackend::resurrect(&spec, &states, rng));
+                assert_eq!(
+                    rec.report.pending_submits, drained,
+                    "replay derives the submissions the queue held, in pop order"
+                );
+                drv = HomeRuntime::resume(rec.core, SimBackend::resurrect(&spec, world));
                 drv.redrive(&rec.report);
                 evictions += 1;
             }

@@ -21,7 +21,7 @@
 //! counters-only sinks for fleet-scale throughput.
 //! [`service::run_service`] keeps every home resident and advances them
 //! in epoch slices popped from one shared timer wheel, optionally
-//! evicting cold homes to their journals.
+//! evicting cold homes down to their runtime core and a world snapshot.
 //!
 //! Pre-run validation: [`sim::Driver::with_sink_checked`] and
 //! [`fleet::run_fleet_gated`] accept a caller-supplied gate that inspects

@@ -38,7 +38,7 @@ use safehome_core::journal::{EventPayload, ExecutionJournal, JournalWriter};
 use safehome_core::{Effect, EffectBuf, Engine, Input, TimerId};
 use safehome_devices::{Detection, DispatchTicket};
 use safehome_types::{
-    sink::TraceSink,
+    sink::{RunCounters, TraceSink},
     trace::{CmdOutcome, TraceEventKind},
     DeviceId, Result, Routine, RoutineId, TimeDelta, Timestamp, Value,
 };
@@ -182,6 +182,17 @@ impl HomeTables {
         self.sub_of_routine.clear();
         self.committed.clear();
         self.aborted.clear();
+    }
+
+    /// Approximate heap bytes, every table by capacity. The deferral
+    /// lists are not walked: `pending_deferrals` entries (the core's count
+    /// of unscheduled `After` submissions) is what they hold.
+    fn approx_bytes(&self, pending_deferrals: usize) -> usize {
+        use std::mem::size_of;
+        self.deferred.capacity() * size_of::<Vec<(usize, TimeDelta)>>()
+            + pending_deferrals * size_of::<(usize, TimeDelta)>()
+            + self.sub_of_routine.capacity() * size_of::<u32>()
+            + (self.committed.capacity() + self.aborted.capacity()) * size_of::<RoutineId>()
     }
 
     fn defer(&mut self, pred: usize, dep: usize, delay: TimeDelta) {
@@ -661,6 +672,20 @@ impl<'a, S: TraceSink> RuntimeCore<'a, S> {
     }
 }
 
+impl RuntimeCore<'_, RunCounters> {
+    /// Approximate heap bytes of this core: engine, sink, tables and
+    /// effect scratch — everything a controller parked without its
+    /// backend keeps. Each part counts its containers by `len` or
+    /// `capacity`, so the cost does not grow with the home's history.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self.engine.approx_bytes()
+            + self.sink.approx_bytes()
+            + self.tables.approx_bytes(self.unscheduled)
+            + self.fx.capacity() * std::mem::size_of::<Effect>()
+    }
+}
+
 /// One home's execution: a [`RuntimeCore`] bound to a [`Backend`].
 ///
 /// This is the one mediation layer of the reproduction: the simulated
@@ -705,11 +730,14 @@ impl<'a, B: Backend, S: TraceSink> HomeRuntime<'a, B, S> {
         HomeRuntime { core, backend }
     }
 
-    /// Rebinds a recovered [`RuntimeCore`] (see `crate::journal::recover`)
-    /// to a backend: the crash/restore path. With the *surviving* backend
-    /// (the sim's crash injection) the continuation is event-for-event
-    /// identical to an uncrashed run; with a fresh backend, follow up with
-    /// [`HomeRuntime::redrive`] to re-issue in-flight work.
+    /// Rebinds a [`RuntimeCore`] to a backend. On the crash/restore path
+    /// the core comes from `crate::journal::recover`: with the
+    /// *surviving* backend (the sim's crash injection) the continuation is
+    /// event-for-event identical to an uncrashed run; with a fresh
+    /// backend, follow up with [`HomeRuntime::redrive`] to re-issue
+    /// in-flight work. The service runner's eviction instead keeps the
+    /// core itself and resumes it on a backend rebuilt from the world
+    /// snapshot (`SimBackend::resurrect`), which needs no redrive.
     pub fn resume(core: RuntimeCore<'a, S>, backend: B) -> Self {
         HomeRuntime { core, backend }
     }

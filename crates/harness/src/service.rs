@@ -1,5 +1,5 @@
 //! Resident-fleet service runner: time-sliced open-loop execution over
-//! one shared timer wheel, with journal-backed eviction.
+//! one shared timer wheel, with eviction of cold homes.
 //!
 //! [`fleet::run_fleet`](crate::fleet::run_fleet) is a batch driver: a
 //! worker picks a home, runs it to quiescence, and only then picks the
@@ -42,58 +42,64 @@
 //! count are byte-identical across worker counts and any interleaving
 //! (asserted by tests here and by `tests/service_equivalence.rs`).
 //!
-//! # Journal-backed eviction
+//! # Eviction: keep the controller, shed the world
 //!
-//! With [`ServiceConfig::max_resident`] set, every home runs journaled
-//! (digest-neutral, see [`crate::journal`]) and the runner bounds how
-//! many keep their pooled simulator state hot. Between slices, a parked
+//! With [`ServiceConfig::max_resident`] set, the runner bounds how many
+//! homes keep their pooled simulator state hot. Between slices, a parked
 //! home that is *cold* — engine quiescent, nothing pending but future
-//! workload submissions, no failure plan, absolute arrivals only — may
-//! be **evicted**: its controller state collapses to the journal, its
-//! world to the per-device states plus the RNG position, and its queue
-//! and device storage go back to the thread pool
-//! ([`SimBackend::into_world_snapshot`]). When the home's next timer
-//! fires, the popping worker lazily rebuilds it: [`recover`] replays the
-//! journal, [`SimBackend::resurrect`] restores the world, and redrive
-//! re-schedules the pending submissions — at their original absolute
-//! times, so the continuation is event-for-event identical to a
-//! never-evicted run. Whenever the fleet-wide resident count exceeds
-//! the budget, the best-scored parked candidate goes first: the score
-//! is the home's idle distance (next-event time) discounted by the
-//! journal-replay cost its recovery would pay, so the runner prefers
-//! homes that are both cold *and* cheap to bring back. Any victim order
-//! yields byte-identical results; the score only shapes replay work.
-//! Homes that are not cold simply stay resident, so the true bound is
-//! `max_resident` plus however many homes are warm at the same instant
-//! (mid-routine across an epoch boundary, carrying a failure plan, or
-//! in a worker's hand): on a calm fleet that is a handful, in a
-//! fleet-wide burst it can transiently be most of the fleet.
+//! workload submissions, no failure plan — may be **evicted**. Its
+//! runtime core (engine, sink, deferral and submission tables) is kept
+//! whole, boxed; its world shrinks to a [`WorldSnapshot`] of device
+//! states, RNG position and pending submissions, drained from the queue
+//! in pop order; and its queue and device storage go back to the thread
+//! pool ([`SimBackend::into_world_snapshot`]). When the home's next
+//! timer fires, the popping worker brings it back with
+//! [`SimBackend::resurrect`] and [`HomeRuntime::resume`]: devices and RNG
+//! restored, the drained submissions re-scheduled in the same order.
+//! The queue pops by time, then insertion order, so the continuation is
+//! event-for-event that of a never-evicted run, and bringing a home
+//! back costs nothing that grows with its history. `After` chains evict
+//! too: a released dependent is a pending submission like any other,
+//! and an unreleased one waits in the kept core's deferral table.
+//!
+//! Nothing is journaled here, so an evicted home is no longer durable on
+//! its own: it lives in this process's memory like a resident home, only
+//! smaller. Surviving a controller crash is the journal's job
+//! ([`crate::journal`]), which this runner does not use.
+//!
+//! Whenever the fleet-wide resident count exceeds the budget, the parked
+//! candidate whose next event lies farthest ahead goes first. Any victim
+//! order yields byte-identical results; the order only decides how often
+//! homes come back. Homes that are not cold simply stay resident, so the
+//! true bound is `max_resident` plus however many homes are warm at the
+//! same instant (mid-routine across an epoch boundary, carrying a
+//! failure plan, or in a worker's hand): on a calm fleet that is a
+//! handful, in a fleet-wide burst it can transiently be most of the
+//! fleet.
 //!
 //! Latency accounting: routine finish latencies are drained after every
 //! slice into a constant-memory [`LatencyHistogram`] per worker, merged
 //! at the end — the service path can observe p50/p99/p999 over millions
 //! of submissions without ever holding the fleet's raw samples in one
-//! vector. Eviction preserves the drain cursors: a recovered sink
-//! rebuilds the exact latency vector the evicted one had.
+//! vector. An evicted home keeps its sink, so its drain cursor stays
+//! valid across eviction.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 
-use safehome_core::journal::ExecutionJournal;
-use safehome_sim::{EventQueue, SimRng};
+use safehome_sim::EventQueue;
 use safehome_types::sink::{self, RunCounters, TraceSink};
-use safehome_types::{LatencyHistogram, TimeDelta, Timestamp, Value};
+use safehome_types::{LatencyHistogram, TimeDelta, Timestamp};
 
 use crate::fleet::{home_seed, HomeRun, WorkerStats};
 use crate::intra::{
     build_sub_specs, merge_sub_runs, HomePartition, IntraPlanner, SubRun, SubRunLog,
 };
-use crate::journal::recover;
-use crate::runtime::{HomeRuntime, Step};
-use crate::sim::{Driver, SimBackend};
-use crate::spec::{Arrival, RunSpec};
+use crate::runtime::{HomeRuntime, RuntimeCore, Step};
+use crate::sim::{Driver, SimBackend, WorldSnapshot};
+use crate::spec::RunSpec;
 
 /// Tuning knobs of the resident service runner. None of them may change
 /// per-home results — that is the runner's core contract — only *where*
@@ -103,9 +109,9 @@ pub struct ServiceConfig {
     /// Epoch slice length: slice boundaries are absolute simulated-time
     /// multiples of this.
     pub epoch: TimeDelta,
-    /// Fleet-wide resident-home budget. `Some(n)` journals every home
-    /// and evicts cold parked homes whenever more than `n` are resident;
-    /// `None` (the default) keeps every home hot and skips journaling.
+    /// Fleet-wide resident-home budget. `Some(n)` evicts cold parked
+    /// homes whenever more than `n` are resident (see the module docs);
+    /// `None` (the default) keeps every home hot.
     pub max_resident: Option<usize>,
     /// Intra-home parallelism planner. `Some` asks it to partition each
     /// home into conflict clusters ([`crate::intra`]); a home it splits
@@ -179,10 +185,11 @@ pub struct ServiceResult {
     /// Scheduling-dependent — informational only, never compare across
     /// runs.
     pub worker_stats: Vec<WorkerStats>,
-    /// Cold homes parked behind their journal (0 without `max_resident`).
+    /// Cold homes evicted: runtime core kept, world reduced to a
+    /// [`WorldSnapshot`] (0 without `max_resident`).
     pub evictions: u64,
-    /// Evicted homes rebuilt by journal replay when their next timer
-    /// fired.
+    /// Evicted homes brought back when their next timer fired: a fresh
+    /// backend rebuilt from the snapshot, resumed with the kept core.
     pub recoveries: u64,
     /// Most homes ever simultaneously resident (holding pooled simulator
     /// state). Without eviction this is simply the fleet size.
@@ -191,8 +198,9 @@ pub struct ServiceResult {
     /// sample: event-queue capacity + device slots).
     pub approx_resident_home_bytes: usize,
     /// Approximate heap bytes one *evicted* home retains (largest
-    /// observed sample: journal + device states + RNG). 0 when nothing
-    /// was evicted.
+    /// observed sample: the kept runtime core — engine history, sink
+    /// vectors, tables — plus the world snapshot). 0 when nothing was
+    /// evicted.
     pub approx_evicted_home_bytes: usize,
     /// Homes the intra-home planner split and the runner merged back
     /// from per-cluster sub-runs (0 without a planner).
@@ -288,17 +296,14 @@ struct UnitMeta {
 }
 
 /// One unit's slot: its execution state plus the per-home latency drain
-/// cursor, which survives eviction (the recovered sink rebuilds the
-/// exact latency vector the evicted one had).
+/// cursor, which survives eviction with the sink it indexes.
 struct HomeSlot<'a> {
     cell: Cell<'a>,
     drained: usize,
-    /// Statically evictable: eviction enabled, no failure plan (hence no
-    /// probe loops or injections) and absolute arrivals only (replay's
-    /// pending-submit order is then provably the original schedule
-    /// order). The dynamic half — quiescent, only future submissions
-    /// pending — is re-checked at every park. Always `false` for
-    /// cluster units: a split home stays hot until its merge.
+    /// Statically evictable: eviction enabled and no failure plan (hence
+    /// no probe loops or injections). The dynamic half — quiescent, only
+    /// future submissions pending — is re-checked at every park. Always
+    /// `false` for cluster units: a split home stays hot until its merge.
     evictable_spec: bool,
 }
 
@@ -312,7 +317,7 @@ enum Cell<'a> {
     /// A cluster sub-driver of a split home, recording its sink-call
     /// stream for the merge.
     LiveSub(Box<Driver<'a, SubRunLog>>),
-    Evicted(EvictedHome),
+    Evicted(EvictedHome<'a>),
     /// A finished cluster sub-run, waiting for its siblings.
     FinishedSub(Box<SubRun>),
     Finished {
@@ -323,13 +328,44 @@ enum Cell<'a> {
     },
 }
 
-/// Everything an evicted home is: the durable journal (the whole
-/// controller) plus the compact world snapshot that survives a
-/// controller restart (device states, RNG position).
-struct EvictedHome {
-    journal: ExecutionJournal,
-    device_states: Vec<Value>,
-    rng: SimRng,
+/// An evicted home: its whole controller, kept, beside the snapshot of
+/// its world at rest. Only the event queue and the device storage are
+/// gone, back in the thread pool.
+struct EvictedHome<'a> {
+    // Boxed: the core is most of a live home's inline size, and the
+    // slot vector holds one cell per unit.
+    core: Box<RuntimeCore<'a, RunCounters>>,
+    world: WorldSnapshot,
+}
+
+impl<'a> EvictedHome<'a> {
+    /// Evicts a driver that [`is_cold`] and has no failure plan.
+    fn evict(d: Driver<'a, RunCounters>) -> Self {
+        let HomeRuntime { core, backend } = d;
+        EvictedHome {
+            core: Box::new(core),
+            world: backend.into_world_snapshot(),
+        }
+    }
+
+    /// Brings the home back: a backend rebuilt from the snapshot, bound
+    /// to the kept core.
+    fn resume(self, spec: &'a RunSpec) -> Driver<'a, RunCounters> {
+        HomeRuntime::resume(*self.core, SimBackend::resurrect(spec, self.world))
+    }
+
+    /// Approximate heap bytes the evicted home retains. Every part counts
+    /// its containers by `len` or `capacity`, so the cost does not grow
+    /// with the home's history.
+    fn approx_bytes(&self) -> usize {
+        self.core.approx_bytes() + self.world.approx_bytes()
+    }
+}
+
+/// The dynamic half of evictability: engine quiescent and nothing
+/// pending but future workload submissions.
+fn is_cold(d: &Driver<'_, RunCounters>) -> bool {
+    d.engine().quiescent() && d.backend().only_submits_pending()
 }
 
 /// The runner's shared scheduling state.
@@ -429,18 +465,14 @@ impl<'a> ServiceCtx<'a> {
         }
     }
 
-    /// Parks `unit` on the wheel at its next event. `replay_cost` is
-    /// `Some(journal bytes)` when the unit is evictable right now: it
-    /// then also becomes an eviction candidate, scored (higher = better
-    /// victim) by its idle distance discounted by replay cost. 4 journal
-    /// bytes cost one millisecond of coldness, so between two equally
-    /// cold homes the cheaper replay goes first, and a hot-ish home with
-    /// a tiny journal can beat a cold one with an expensive history.
-    fn park(&self, unit: usize, next: Timestamp, replay_cost: Option<usize>) {
+    /// Parks `unit` on the wheel at its next event. An `evictable` unit
+    /// also becomes an eviction candidate, scored (higher = better
+    /// victim) by that next-event time, so the coldest home goes first.
+    fn park(&self, unit: usize, next: Timestamp, evictable: bool) {
         let mut sched = self.sched.lock().expect("scheduler");
         sched.wheel.schedule(next, unit);
-        if let Some(bytes) = replay_cost {
-            sched.park_candidate(unit, next.as_millis().saturating_sub(bytes as u64 / 4));
+        if evictable {
+            sched.park_candidate(unit, next.as_millis());
         }
     }
 
@@ -551,11 +583,7 @@ where
                     drained: 0,
                     evictable_spec: meta.cluster.is_none()
                         && config.max_resident.is_some()
-                        && spec.failures.is_empty()
-                        && spec
-                            .submissions
-                            .iter()
-                            .all(|s| matches!(s.arrival, Arrival::At(_))),
+                        && spec.failures.is_empty(),
                 })
             })
             .collect(),
@@ -661,42 +689,32 @@ fn service_worker<'a>(
             if meta.cluster.is_some() {
                 // A cluster sub-driver: traced (funnel log + pop-segmented
                 // sink) so the finishing worker can merge the home back
-                // byte-identically. Never journaled, never evictable —
-                // split homes stay hot until their merge.
+                // byte-identically. Never evictable — split homes stay
+                // hot until their merge.
                 let d = Driver::with_sink_traced(spec, SubRunLog::new());
                 let next = d.backend().next_event_at().unwrap_or(Timestamp::ZERO);
                 ctx.slots[unit].lock().expect("slot").cell = Cell::LiveSub(Box::new(d));
                 ctx.note_resident();
-                ctx.park(unit, next, None);
+                ctx.park(unit, next, false);
                 continue;
             }
-            // Eviction needs the journal as the durable half of the home;
-            // journaling is digest-neutral, so the knob never changes
-            // results (pinned by `journaling_is_digest_neutral`).
-            let d = if ctx.max_resident.is_some() {
-                Driver::with_journal(spec, RunCounters::new())
-            } else {
-                Driver::with_sink(spec, RunCounters::new())
-            };
+            let d = Driver::with_sink(spec, RunCounters::new());
             if home == lo {
                 ctx.resident_bytes
                     .fetch_max(d.backend().approx_resident_bytes(), Ordering::SeqCst);
             }
             let next = d.backend().next_event_at().unwrap_or(Timestamp::ZERO);
-            let replay_cost = d.journal().map_or(0, ExecutionJournal::approx_bytes);
             let evictable = {
                 let mut slot = ctx.slots[unit].lock().expect("slot");
-                let evictable = slot.evictable_spec
-                    && d.engine().quiescent()
-                    && d.backend().only_submits_pending();
+                let evictable = slot.evictable_spec && is_cold(&d);
                 slot.cell = Cell::Live(Box::new(d));
                 evictable
             };
             ctx.note_resident();
-            ctx.park(unit, next, evictable.then_some(replay_cost));
+            ctx.park(unit, next, evictable);
             // Evict-at-birth keeps even the construction phase inside the
-            // budget: a fresh all-`At` home is already cold (nothing
-            // submitted yet), so it can park behind its genesis journal.
+            // budget: a fresh home is already cold (nothing submitted
+            // yet), so it can be evicted before its first slice.
             evict_over_budget(ctx);
         }
     }
@@ -754,7 +772,7 @@ fn advance_slice<S: TraceSink>(d: &mut Driver<'_, S>, epoch_ms: u64) -> Option<T
     }
 }
 
-/// Runs one epoch slice of `unit`, recovering it first if it was
+/// Runs one epoch slice of `unit`, resuming it first if it was
 /// evicted.
 fn run_slice<'a>(
     ctx: &ServiceCtx<'a>,
@@ -774,7 +792,7 @@ fn run_slice<'a>(
         let Cell::Evicted(ev) = std::mem::replace(&mut slot.cell, Cell::Vacant) else {
             unreachable!()
         };
-        slot.cell = Cell::Live(Box::new(recover_home(&ctx.specs[meta.home], ev)));
+        slot.cell = Cell::Live(Box::new(ev.resume(&ctx.specs[meta.home])));
         ctx.recoveries.fetch_add(1, Ordering::SeqCst);
         ctx.note_resident();
     }
@@ -784,10 +802,7 @@ fn run_slice<'a>(
         unreachable!("popped unit {unit} is neither live nor evicted")
     };
     if let Some(next) = advance_slice(d, ctx.epoch_ms) {
-        let evictable =
-            evictable_spec && d.engine().quiescent() && d.backend().only_submits_pending();
-        let replay_cost = d.journal().map_or(0, ExecutionJournal::approx_bytes);
-        ctx.park(unit, next, evictable.then_some(replay_cost));
+        ctx.park(unit, next, evictable_spec && is_cold(d));
     }
 
     if d.is_done() {
@@ -837,7 +852,7 @@ fn run_sub_slice<'a>(
         };
         match advance_slice(d, ctx.epoch_ms) {
             Some(next) => {
-                ctx.park(unit, next, None);
+                ctx.park(unit, next, false);
                 false
             }
             None => {
@@ -936,9 +951,7 @@ fn evict_over_budget(ctx: &ServiceCtx<'_>) {
         };
         let mut slot = ctx.slots[unit].lock().expect("slot");
         let still_cold = match &slot.cell {
-            Cell::Live(d) => {
-                !d.is_done() && d.engine().quiescent() && d.backend().only_submits_pending()
-            }
+            Cell::Live(d) => !d.is_done() && is_cold(d),
             _ => false,
         };
         if !still_cold {
@@ -947,55 +960,22 @@ fn evict_over_budget(ctx: &ServiceCtx<'_>) {
         let Cell::Live(d) = std::mem::replace(&mut slot.cell, Cell::Vacant) else {
             unreachable!()
         };
-        let (journal, backend) = d.crash();
         ctx.resident_bytes
-            .fetch_max(backend.approx_resident_bytes(), Ordering::SeqCst);
-        let (device_states, rng) = backend.into_world_snapshot();
-        ctx.evicted_bytes.fetch_max(
-            journal.approx_bytes()
-                + device_states.len() * std::mem::size_of::<Value>()
-                + std::mem::size_of::<SimRng>(),
-            Ordering::SeqCst,
-        );
-        slot.cell = Cell::Evicted(EvictedHome {
-            journal,
-            device_states,
-            rng,
-        });
+            .fetch_max(d.backend().approx_resident_bytes(), Ordering::SeqCst);
+        let evicted = EvictedHome::evict(*d);
+        ctx.evicted_bytes
+            .fetch_max(evicted.approx_bytes(), Ordering::SeqCst);
+        slot.cell = Cell::Evicted(evicted);
         ctx.resident.fetch_sub(1, Ordering::SeqCst);
         ctx.evictions.fetch_add(1, Ordering::SeqCst);
     }
-}
-
-/// Rebuilds an evicted home: journal replay reconstructs the controller
-/// (engine, tables, sink — including the latency vector the drain
-/// cursor indexes), the world snapshot restores devices and RNG, and
-/// redrive re-schedules the pending submissions at their original
-/// absolute times (all at or after the journal tip, so no clamping —
-/// the continuation is event-for-event that of a never-evicted run).
-fn recover_home<'a>(spec: &'a RunSpec, ev: EvictedHome) -> Driver<'a, RunCounters> {
-    let recovered = recover(
-        ev.journal,
-        spec.config.clone(),
-        &spec.submissions,
-        RunCounters::new(),
-    )
-    .expect("an eviction-time journal always replays");
-    debug_assert!(
-        recovered.report.inflight.is_empty() && recovered.report.pending_timers.is_empty(),
-        "evicted homes are quiescent: nothing in flight, no armed timers"
-    );
-    let backend = SimBackend::resurrect(spec, &ev.device_states, ev.rng);
-    let mut d = HomeRuntime::resume(recovered.core, backend);
-    d.redrive(&recovered.report);
-    d
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fleet::run_fleet;
-    use crate::spec::Submission;
+    use crate::spec::{Arrival, Submission};
     use safehome_core::{EngineConfig, VisibilityModel};
     use safehome_devices::catalog::plug_home;
     use safehome_devices::FailurePlan;
@@ -1193,6 +1173,79 @@ mod tests {
         assert!(both.evictions > 0, "unsplit homes must still evict");
     }
 
+    /// One long-history sparse home: `clusters` bursts of five routines
+    /// over four shared plugs, ten minutes apart, so the gap after every
+    /// burst is a cold point.
+    fn long_sparse_home(clusters: u64, seed: u64) -> RunSpec {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut spec =
+            RunSpec::new(plug_home(4), EngineConfig::new(VisibilityModel::ev())).with_seed(seed);
+        for c in 0..clusters {
+            for i in 0..5u32 {
+                let r = Routine::builder(format!("c{c}r{i}"))
+                    .set(DeviceId(i % 4), Value::ON, TimeDelta::from_millis(50))
+                    .set(
+                        DeviceId((i + 1) % 4),
+                        Value::OFF,
+                        TimeDelta::from_millis(50),
+                    )
+                    .build();
+                let at = c * 600_000 + rng.next_u64() % 2_000;
+                spec.submit(Submission::at(r, Timestamp::from_millis(at)));
+            }
+        }
+        spec
+    }
+
+    /// The eviction contract: evicting a home at every cold point of a
+    /// long history (snapshot its world, keep its core) and resuming it
+    /// with that same core is invisible — counters, digest and end
+    /// states equal the never-evicted run.
+    #[test]
+    fn evicted_home_resumes_event_for_event() {
+        let spec = long_sparse_home(110, 0x5EED);
+        let mut plain = Driver::with_sink(&spec, RunCounters::new());
+        assert!(plain.run_to_quiescence());
+        let (want, want_committed, _) = plain.into_output();
+        assert!(want.committed >= 500, "a long history");
+
+        let mut d = Driver::with_sink(&spec, RunCounters::new());
+        let mut evictions = 0;
+        while !d.is_done() {
+            if is_cold(&d) {
+                d = EvictedHome::evict(d).resume(&spec);
+                evictions += 1;
+            }
+            d.step();
+        }
+        assert!(evictions > 110, "every burst leaves cold points behind");
+        let (counters, committed, completed) = d.into_output();
+        assert!(completed);
+        assert_eq!(counters, want, "counters, digest and end states");
+        assert_eq!(committed, want_committed);
+    }
+
+    #[test]
+    fn evicted_home_bytes_grow_with_history() {
+        let spec = long_sparse_home(205, 0xB17E);
+        let mut d = Driver::with_sink(&spec, RunCounters::new());
+        let mut figures = Vec::new();
+        for routines in [10, 100, 1_000] {
+            // Run to the first cold point with that many commits.
+            while d.sink().committed < routines || !is_cold(&d) {
+                assert!(!d.is_done(), "the home commits {routines} routines");
+                d.step();
+            }
+            let evicted = EvictedHome::evict(d);
+            figures.push(evicted.approx_bytes());
+            d = evicted.resume(&spec);
+        }
+        assert!(
+            figures.windows(2).all(|w| w[0] < w[1]),
+            "an evicted home's figure must grow with its history: {figures:?}"
+        );
+    }
+
     #[test]
     fn stale_candidate_entries_are_compacted() {
         let mut sc = Scheduler::default();
@@ -1361,8 +1414,8 @@ mod tests {
 
     #[test]
     fn histogram_is_complete_under_eviction() {
-        // Recovery rebuilds the sink's latency vector; the drain cursor
-        // must keep every sample exactly once across evict/recover.
+        // An evicted home keeps its sink; the drain cursor must keep
+        // every sample exactly once across evict/resume cycles.
         let r = run_service_with(
             8,
             2,

@@ -144,8 +144,8 @@ impl PooledHome {
 /// The per-home resident footprint is dominated by exactly what the pool
 /// recycles — the calendar-wheel bucket arrays and the device slots — so
 /// `approx_bytes / bundles.max(1)` doubles as the service runner's
-/// estimate of what one *resident* home pins versus one evicted home
-/// (journal + device values + RNG).
+/// estimate of what one *resident* home pins beyond what an evicted home
+/// keeps (its runtime core plus a [`WorldSnapshot`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HomePoolStats {
     /// Recycled bundles currently parked in the pool.
@@ -194,7 +194,7 @@ pub struct SimBackend<'a> {
     /// submissions — device arrivals/completions, injections, engine
     /// timers. Zero means the queue holds nothing but `Submit`s (plus
     /// possibly immaterial probes): the world is at rest, and the
-    /// service runner may park the home's state behind its journal.
+    /// service runner may evict the home to a [`WorldSnapshot`].
     nonsubmit_material: usize,
     /// Funnel logging for intra-home sub-runs; `None` (the default)
     /// costs one branch per schedule call.
@@ -317,53 +317,97 @@ impl<'a> SimBackend<'a> {
 
     /// `true` when every pending material event is a future workload
     /// submission — no device I/O, injections or engine timers in
-    /// flight. Together with engine quiescence (and a failure-free,
-    /// absolute-arrival spec) this is the service runner's evictability
-    /// condition: the journal then captures the whole controller, and
-    /// the world reduces to the device states plus the RNG position.
+    /// flight. Together with engine quiescence and an empty failure plan
+    /// (so no probe loops) this is the service runner's evictability
+    /// condition: the world then reduces to a [`WorldSnapshot`] — device
+    /// states, RNG position and the pending submissions — while the
+    /// controller stays whole in the runtime core.
     pub fn only_submits_pending(&self) -> bool {
         self.nonsubmit_material == 0
     }
 
     /// Approximate heap bytes this backend pins while resident: the
-    /// event queue's retained capacity plus the device slots. The
-    /// companion durable footprint is the journal's
-    /// `ExecutionJournal::approx_bytes`.
+    /// event queue's retained capacity plus the device slots. An evicted
+    /// home keeps a [`WorldSnapshot`] instead.
     pub fn approx_resident_bytes(&self) -> usize {
         self.queue.approx_bytes() + self.devices.capacity() * std::mem::size_of::<VirtualDevice>()
     }
 
-    /// Tears an evicted backend down to the compact world snapshot the
-    /// service runner parks beside the journal — per-device states and
-    /// the RNG position — recycling the queue and device storage into
-    /// the thread's home pool. Only sound at an eviction point (engine
-    /// quiescent, [`Self::only_submits_pending`]): pending submissions
-    /// are re-derived from the journal on recovery, and anything else in
-    /// the queue would be lost.
-    pub fn into_world_snapshot(mut self) -> (Vec<Value>, SimRng) {
-        let states = self.devices.iter().map(VirtualDevice::state).collect();
+    /// Tears a backend at rest down to its [`WorldSnapshot`], recycling
+    /// the queue and device storage into the thread's home pool. The
+    /// pending `Submit` events are drained in pop order — time, then
+    /// insertion order — so [`Self::resurrect`] can re-schedule them in
+    /// that same order.
+    ///
+    /// Only sound at an eviction point: engine quiescent,
+    /// [`Self::only_submits_pending`] and an empty failure plan. Any other
+    /// pending event would be lost (debug builds assert there is none).
+    pub fn into_world_snapshot(mut self) -> WorldSnapshot {
+        let mut submits = Vec::with_capacity(self.material);
+        while let Some((at, ev)) = self.queue.pop() {
+            debug_assert!(
+                matches!(ev, Ev::Submit(_)),
+                "{ev:?} pending at an eviction point"
+            );
+            if let Ev::Submit(i) = ev {
+                submits.push((at, i));
+            }
+        }
+        let device_states = self.devices.iter().map(VirtualDevice::state).collect();
         recycle_home(PooledHome {
             queue: std::mem::take(&mut self.queue),
             devices: std::mem::take(&mut self.devices),
             tables: HomeTables::default(),
         });
-        (states, self.rng)
+        WorldSnapshot {
+            device_states,
+            rng: self.rng,
+            submits,
+        }
     }
 
-    /// Rebuilds a backend from an eviction-time world snapshot: pooled
-    /// storage, device states forced back to `device_states`, the RNG
-    /// resumed at its parked position, and — deliberately — *nothing*
-    /// scheduled. The recovered core's redrive re-issues the pending
-    /// submissions; the failure plan is not re-injected because eviction
-    /// requires an empty one.
-    pub fn resurrect(spec: &'a RunSpec, device_states: &[Value], rng: SimRng) -> Self {
+    /// Rebuilds a backend from a [`WorldSnapshot`]: pooled storage,
+    /// device states forced back, the RNG resumed at its parked position,
+    /// and the drained submissions re-scheduled in their pop order. The
+    /// queue pops by time, then insertion order, so the rebuilt backend
+    /// pops those submissions exactly as the torn-down one would have;
+    /// with the home's own core ([`HomeRuntime::resume`]) the run
+    /// continues event-for-event as if it had never been evicted. The
+    /// failure plan is not re-injected because eviction requires an empty
+    /// one. The clock reads zero until the first pop.
+    pub fn resurrect(spec: &'a RunSpec, world: WorldSnapshot) -> Self {
         let mut pooled = pooled_home();
         let mut backend = SimBackend::new(spec, &mut pooled);
-        for (slot, &v) in backend.devices.iter_mut().zip(device_states) {
+        for (slot, &v) in backend.devices.iter_mut().zip(&world.device_states) {
             slot.force_state(v);
         }
-        backend.rng = rng;
+        backend.rng = world.rng;
+        for (at, i) in world.submits {
+            backend.schedule(at, Ev::Submit(i));
+        }
         backend
+    }
+}
+
+/// What a simulated world at rest reduces to (see
+/// [`SimBackend::into_world_snapshot`]): device states, the latency RNG
+/// position and the pending workload submissions. The service runner
+/// parks one beside an evicted home's runtime core.
+pub struct WorldSnapshot {
+    /// Per-device states, indexed by device id.
+    device_states: Vec<Value>,
+    /// The latency RNG, parked mid-stream.
+    rng: SimRng,
+    /// Pending submissions as `(time, workload index)`, in pop order.
+    pub(crate) submits: Vec<(Timestamp, usize)>,
+}
+
+impl WorldSnapshot {
+    /// Approximate heap bytes, by capacity.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        self.device_states.capacity() * std::mem::size_of::<Value>()
+            + std::mem::size_of::<SimRng>()
+            + self.submits.capacity() * std::mem::size_of::<(Timestamp, usize)>()
     }
 }
 

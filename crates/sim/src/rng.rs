@@ -14,9 +14,9 @@ use safehome_types::TimeDelta;
 /// uniform distribution.
 ///
 /// The generator state is `Clone` so a caller can snapshot the stream
-/// position (the service runner's journal-backed eviction parks a home's
-/// RNG alongside its journal and restores it on recovery — the restored
-/// stream must continue exactly where the evicted one stopped).
+/// position (the service runner's eviction parks a home's RNG in its
+/// world snapshot and restores it when the home comes back — the
+/// restored stream must continue exactly where the evicted one stopped).
 #[derive(Clone)]
 pub struct SimRng {
     s: [u64; 4],

@@ -387,6 +387,20 @@ impl RunCounters {
         }
     }
 
+    /// Approximate heap bytes the sink holds mid-run: the four
+    /// per-routine vectors (latencies, normalized latencies, waits,
+    /// stretch), which grow with every finished routine, plus the digest
+    /// batch buffer. Counted by capacity, so the cost is constant.
+    pub fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.latencies_ms.capacity() * size_of::<u64>()
+            + (self.normalized_latencies.capacity()
+                + self.waits_ms.capacity()
+                + self.stretch.capacity())
+                * size_of::<f64>()
+            + self.pending.capacity() * size_of::<u64>()
+    }
+
     /// Clears the sink back to its freshly-constructed state while
     /// keeping every allocation (latency/wait/stretch vectors, digest
     /// batch buffer) — so one sink can be recycled across the trials of

@@ -2,17 +2,16 @@
 //!
 //! For random service fleets — home counts, fleet seeds, arrival rates,
 //! horizons, burst windows, epoch lengths, worker counts, resident
-//! budgets, and intra-home cluster splitting on/off — the resident
-//! time-sliced runner
-//! (`run_service_with`) must reproduce the batch run-to-completion
-//! fleet driver (`run_fleet`) byte for byte: same per-home
-//! `RunCounters` (outcomes, latencies, digests), same fleet digest,
-//! same slice count (where clustering is inactive — split homes slice
-//! per cluster, so the count legitimately differs). Slicing a home's
-//! timeline at arbitrary epoch boundaries, interleaving it with the
-//! rest of the fleet, running its slices on whichever worker pops them,
-//! collapsing
-//! it to its journal between slices, or decomposing it into per-cluster
+//! budgets, intra-home cluster splitting on/off, and `After`-chained
+//! morning homes in place of open-loop ones — the resident time-sliced
+//! runner (`run_service_with`) must reproduce the batch
+//! run-to-completion fleet driver (`run_fleet`) byte for byte: same
+//! per-home `RunCounters` (outcomes, latencies, digests), same fleet
+//! digest, same slice count (where clustering is inactive — split homes
+//! slice per cluster, so the count legitimately differs). Slicing a
+//! home's timeline at arbitrary epoch boundaries, interleaving it with
+//! the rest of the fleet, running its slices on whichever worker pops
+//! them, evicting it between slices, or decomposing it into per-cluster
 //! sub-drivers and merging it back must never change which events it
 //! sees or in what order.
 
@@ -40,6 +39,7 @@ proptest! {
         workers in 1usize..5,
         budget_choice in 0usize..4,
         intra in any::<bool>(),
+        chains in any::<bool>(),
     ) {
         // From sub-event-grain slicing to epochs spanning many arrivals.
         let epoch_ms = [1u64, 777, 10_000, 300_000][epoch_choice];
@@ -49,7 +49,16 @@ proptest! {
         let template = FleetTemplate::morning(EngineConfig::new(VisibilityModel::ev()));
         let params = ServiceParams::new(TimeDelta::from_mins(horizon_mins), rate)
             .with_bursts_from_seed(fleet_seed, bursts);
-        let make_spec = |_: usize, seed: u64| service_home(&template, &params, seed);
+        // `chains`: the morning scenario's own homes instead — 4 users ×
+        // 5-routine `After` chains plus sporadic arrivals and no failure
+        // plan — so eviction must park pending deferrals too.
+        let make_spec = |_: usize, seed: u64| {
+            if chains {
+                template.base_spec(seed)
+            } else {
+                service_home(&template, &params, seed)
+            }
+        };
 
         let batch = run_fleet(homes, 1, fleet_seed, make_spec);
         let mut config = ServiceConfig::new(TimeDelta::from_millis(epoch_ms));
@@ -78,8 +87,8 @@ proptest! {
         prop_assert_eq!(resident.intra_fallbacks, 0);
 
         // The histogram drains exactly the finished routines — through
-        // evict/recover cycles too (recovery rebuilds the sink's
-        // latency vector, so the drain cursor must stay consistent).
+        // evict/resume cycles too (an evicted home keeps its sink, so
+        // the drain cursor must stay consistent).
         let raw: u64 = batch
             .homes
             .iter()
@@ -91,6 +100,15 @@ proptest! {
         if max_resident.is_none() {
             prop_assert_eq!(resident.evictions, 0);
             prop_assert_eq!(resident.peak_resident_homes, homes);
+        }
+        // Failure-free chained homes are cold at birth, so a budget below
+        // the fleet size must evict them.
+        if chains && max_resident.is_some_and(|budget| budget < homes) {
+            prop_assert!(
+                resident.evictions > 0,
+                "After-chain homes never evicted (budget {:?}, {} homes)",
+                max_resident, homes
+            );
         }
     }
 
