@@ -52,5 +52,5 @@ pub use intra::{
 pub use journal::{recover, InflightWrite, Recovered, RecoveryReport, ReplayBackend};
 pub use runtime::{Backend, CommandOutcome, HomeRuntime, HomeTables, Polled, RuntimeCore, Step};
 pub use service::{run_service, run_service_with, ServiceConfig, ServiceResult};
-pub use sim::{home_pool_stats, run, Driver, HomePoolStats, RunOutput, SimBackend};
+pub use sim::{run, Driver, RunOutput, SimBackend};
 pub use spec::{Arrival, RunSpec, Submission};

@@ -195,7 +195,7 @@ pub struct ServiceResult {
     /// state). Without eviction this is simply the fleet size.
     pub peak_resident_homes: usize,
     /// Approximate heap bytes one *resident* home pins (largest observed
-    /// sample: event-queue capacity + device slots).
+    /// sample: event-queue buckets and slab + device slots).
     pub approx_resident_home_bytes: usize,
     /// Approximate heap bytes one *evicted* home retains (largest
     /// observed sample: the kept runtime core — engine history, sink

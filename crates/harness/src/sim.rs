@@ -102,8 +102,8 @@ struct SubTrace {
     rank: u32,
 }
 
-/// One recyclable bundle of per-home state: the event queue's
-/// bucket/deque storage, the virtual device vec (each device keeps its
+/// One recyclable bundle of per-home state: the event queue (its slab
+/// and bucket arrays), the virtual device vec (each device keeps its
 /// pending-dispatch deque), and the runtime's submission tables.
 #[derive(Default)]
 struct PooledHome {
@@ -128,41 +128,6 @@ const HOME_POOL_CAP: usize = 4;
 
 fn pooled_home() -> PooledHome {
     HOME_POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default()
-}
-
-impl PooledHome {
-    /// Approximate heap footprint of one pooled bundle: the dominant
-    /// retained allocations (queue buckets/deques and device slots).
-    /// Table vectors are small by comparison and not chased.
-    fn approx_bytes(&self) -> usize {
-        self.queue.approx_bytes() + self.devices.capacity() * std::mem::size_of::<VirtualDevice>()
-    }
-}
-
-/// Point-in-time accounting for the calling thread's home-state pool.
-///
-/// The per-home resident footprint is dominated by exactly what the pool
-/// recycles — the calendar-wheel bucket arrays and the device slots — so
-/// `approx_bytes / bundles.max(1)` doubles as the service runner's
-/// estimate of what one *resident* home pins beyond what an evicted home
-/// keeps (its runtime core plus a [`WorldSnapshot`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HomePoolStats {
-    /// Recycled bundles currently parked in the pool.
-    pub bundles: usize,
-    /// Approximate retained bytes across those bundles.
-    pub approx_bytes: usize,
-}
-
-/// Stats for the calling thread's home-state pool (see [`HomePoolStats`]).
-pub fn home_pool_stats() -> HomePoolStats {
-    HOME_POOL.with(|p| {
-        let pool = p.borrow();
-        HomePoolStats {
-            bundles: pool.len(),
-            approx_bytes: pool.iter().map(PooledHome::approx_bytes).sum(),
-        }
-    })
 }
 
 fn recycle_home(mut home: PooledHome) {
@@ -202,6 +167,10 @@ pub struct SimBackend<'a> {
 }
 
 impl<'a> SimBackend<'a> {
+    /// A backend over a pooled bundle. The pooled queue comes back
+    /// cleared with its slab capacity, so a recycled home allocates no
+    /// queue storage until it holds more events at once than an earlier
+    /// home on this thread did.
     fn new(spec: &'a RunSpec, pooled: &mut PooledHome) -> Self {
         let n = spec.home.len();
         // Reuse pooled device slots in place (each keeps its pending
@@ -326,8 +295,9 @@ impl<'a> SimBackend<'a> {
         self.nonsubmit_material == 0
     }
 
-    /// Approximate heap bytes this backend pins while resident: the
-    /// event queue's retained capacity plus the device slots. An evicted
+    /// Approximate heap bytes this backend pins while resident, in O(1):
+    /// the event queue (two fixed bucket arrays plus a slab sized by the
+    /// most events it has held at once) and the device slots. An evicted
     /// home keeps a [`WorldSnapshot`] instead.
     pub fn approx_resident_bytes(&self) -> usize {
         self.queue.approx_bytes() + self.devices.capacity() * std::mem::size_of::<VirtualDevice>()

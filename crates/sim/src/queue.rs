@@ -6,13 +6,20 @@
 //! hours-long O(1) horizon for open-loop arrival schedules), and a
 //! sorted overflow level for events beyond both. The discrete-event hot
 //! loop (`safehome-harness`) pops and schedules millions of events per
-//! second, and the wheel turns both operations into O(1) deque
+//! second, and the wheel turns both operations into O(1) list
 //! pushes/pops with no per-event comparisons — the previous inverted
 //! `BinaryHeap` paid O(log n) sift costs and a comparator call per level
 //! on exactly that path. The pop-order contract is unchanged (see
 //! [`EventQueue`]).
+//!
+//! Storage is one slab `Vec` of entries per queue. Every bucket, at every
+//! level, is an intrusive FIFO list of slab indices threaded through the
+//! entries' `next` links, and freed entries form a free list through the
+//! same links. A bucket costs 8 B whether or not the run ever used it, so
+//! a queue's memory follows the peak number of live events, not the
+//! number of instants it has touched.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use safehome_types::Timestamp;
 
@@ -41,15 +48,74 @@ const L2_WORDS: usize = L2_BUCKETS / 64;
 /// Milliseconds covered by a full second-level rotation.
 const L2_SPAN: u64 = (L2_BUCKETS as u64) << L2_SHIFT;
 
-/// Coarse second wheel level. Each bucket holds `(instant, payload)`
-/// entries for one `WHEEL`-ms span **in insertion order** (a coarse
-/// bucket mixes instants; time order is restored when the bucket is
-/// drained into the per-millisecond first level, which keeps
-/// same-instant FIFO because the drain preserves insertion order).
-/// Allocated lazily: a queue whose events never outrun the first level
-/// pays nothing for the hierarchy.
-struct Level2<E> {
-    buckets: Vec<VecDeque<(u64, E)>>,
+/// Null slab index: ends a list and marks an empty one.
+const NIL: u32 = u32::MAX;
+
+/// One slab slot. A pending event (`payload` is `Some`) sits in exactly
+/// one bucket list; a freed slot (`payload` is `None`, so it keeps no
+/// payload alive) sits on the free list. Both lists link through `next`.
+struct Entry<E> {
+    /// Due instant in milliseconds, already clamped to the clock.
+    at: u64,
+    next: u32,
+    payload: Option<E>,
+}
+
+/// An intrusive FIFO list of slab entries. Empty iff `head` is `NIL`
+/// (`tail` is then stale); otherwise the `tail` entry's `next` is `NIL`.
+#[derive(Clone, Copy)]
+struct Fifo {
+    head: u32,
+    tail: u32,
+}
+
+impl Fifo {
+    const EMPTY: Fifo = Fifo {
+        head: NIL,
+        tail: NIL,
+    };
+
+    fn is_empty(self) -> bool {
+        self.head == NIL
+    }
+
+    /// Links the unlinked entry `idx` in at the back.
+    fn push<E>(&mut self, slab: &mut [Entry<E>], idx: u32) {
+        slab[idx as usize].next = NIL;
+        if self.is_empty() {
+            self.head = idx;
+        } else {
+            slab[self.tail as usize].next = idx;
+        }
+        self.tail = idx;
+    }
+
+    /// Unlinks the front entry and returns its index.
+    fn pop<E>(&mut self, slab: &[Entry<E>]) -> Option<u32> {
+        let idx = self.head;
+        if idx == NIL {
+            return None;
+        }
+        self.head = slab[idx as usize].next;
+        Some(idx)
+    }
+
+    /// Slab indices front to back.
+    fn iter<E>(self, slab: &[Entry<E>]) -> impl Iterator<Item = u32> + '_ {
+        std::iter::successors((self.head != NIL).then_some(self.head), move |&i| {
+            Some(slab[i as usize].next).filter(|&n| n != NIL)
+        })
+    }
+}
+
+/// Coarse second wheel level. Each bucket lists the entries for one
+/// `WHEEL`-ms span **in insertion order** (a coarse bucket mixes
+/// instants; time order is restored when the bucket is drained into the
+/// per-millisecond first level, which keeps same-instant FIFO because the
+/// drain preserves insertion order). Allocated lazily: a queue whose
+/// events never outrun the first level pays nothing for the hierarchy.
+struct Level2 {
+    buckets: Vec<Fifo>,
     occupied: [u64; L2_WORDS],
     /// First instant of the window, aligned down to `WHEEL`. The bucket
     /// for instant `t` is `(t >> L2_SHIFT) & L2_IDX_MASK`; the window
@@ -63,10 +129,10 @@ struct Level2<E> {
     len: usize,
 }
 
-impl<E> Level2<E> {
+impl Level2 {
     fn new() -> Self {
         Level2 {
-            buckets: (0..L2_BUCKETS).map(|_| VecDeque::new()).collect(),
+            buckets: vec![Fifo::EMPTY; L2_BUCKETS],
             occupied: [0; L2_WORDS],
             start: 0,
             limit: 0,
@@ -95,9 +161,7 @@ impl<E> Level2<E> {
 
     fn clear(&mut self) {
         if self.len > 0 {
-            for b in &mut self.buckets {
-                b.clear();
-            }
+            self.buckets.fill(Fifo::EMPTY);
         }
         self.occupied = [0; L2_WORDS];
         self.start = 0;
@@ -136,35 +200,38 @@ fn next_occupied_bit(occupied: &[u64], from: usize) -> Option<usize> {
 ///
 /// # Structure
 ///
-/// Three levels, all keyed by the event's due time:
+/// Every pending event is one entry of a slab `Vec`. Three levels of
+/// FIFO lists over that slab, all keyed by the event's due time, order
+/// them:
 ///
-/// - a **wheel** of `WHEEL` FIFO buckets covering the instants
-///   `[window_start, wheel_limit)`, bucket `t & WHEEL_MASK` holding
+/// - a **wheel** of `WHEEL` buckets covering the instants
+///   `[window_start, wheel_limit)`, bucket `t & WHEEL_MASK` listing
 ///   exactly the events due at instant `t` (the window never spans more
 ///   than one full period, so the residue is unique within it), with an
 ///   occupancy bitmap for constant-time next-bucket scans;
 /// - a lazily allocated **coarse second level** (`Level2`) of
 ///   `L2_BUCKETS` buckets, each spanning one full first-level period
-///   (`WHEEL` ms, so the level covers ~4.66 h), holding events at or
+///   (`WHEEL` ms, so the level covers ~4.66 h), listing events at or
 ///   beyond `wheel_limit` in insertion order per bucket;
-/// - a sorted **overflow** level (`BTreeMap` of per-instant FIFO deques)
-///   for events at or beyond the second level's horizon.
+/// - a sorted **overflow** level (`BTreeMap` of per-instant lists) for
+///   events at or beyond the second level's horizon.
 ///
-/// Three invariants make the split correct: every wheel event is earlier
-/// than every second-level event, every second-level event is earlier
-/// than every overflow event (so a pop can ignore the outer levels while
-/// an inner one is non-empty), and a first-level bucket only ever holds
-/// one instant. The windows move in three ways, all preserving
-/// same-instant FIFO order across levels (an event can only change level
-/// before any later-scheduled equal-time event targets the same level
-/// directly, because each window limit is capped *exclusively* at the
-/// earliest parked instant of the next level out):
+/// Moving events between levels relinks entries and never copies a
+/// payload. Three invariants make the split correct: every wheel event
+/// is earlier than every second-level event, every second-level event is
+/// earlier than every overflow event (so a pop can ignore the outer
+/// levels while an inner one is non-empty), and a first-level bucket
+/// only ever holds one instant. The windows move in three ways, all
+/// preserving same-instant FIFO order across levels (an event can only
+/// change level before any later-scheduled equal-time event targets the
+/// same level directly, because each window limit is capped
+/// *exclusively* at the earliest parked instant of the next level out):
 ///
 /// - when a pop finds the wheel empty, it rebases the window onto the
 ///   earliest pending instant's span — draining the earliest coarse
 ///   second-level bucket (insertion order restores per-instant FIFO as
-///   entries land in per-millisecond buckets) and migrating any overflow
-///   events the new window covers, in time order;
+///   entries land in per-millisecond buckets) and splicing in any
+///   overflow instants the new window covers, in time order;
 /// - when a schedule finds the wheel empty and its event past
 ///   `wheel_limit`, it slides the window forward to start at `now` —
 ///   this is what keeps steady periodic work (e.g. probe loops
@@ -175,9 +242,11 @@ fn next_occupied_bit(occupied: &[u64], from: usize) -> Option<usize> {
 ///   `wheel_limit` (aligned down to the period), so hours-long arrival
 ///   schedules land in O(1) coarse buckets instead of the `BTreeMap`.
 ///
-/// Bucket and overflow deque allocations are recycled across
-/// [`EventQueue::clear`] calls, so a pooled queue reaches steady state
-/// with zero allocations per event.
+/// A bucket is two `u32` slab indices (8 B), so the fixed cost is the
+/// two bucket arrays (32 KiB each, the second only once used) and the
+/// rest follows the peak number of live events. [`EventQueue::clear`]
+/// keeps the slab's capacity, so a pooled queue reaches steady state with
+/// zero allocations per event.
 ///
 /// # Examples
 ///
@@ -192,30 +261,32 @@ fn next_occupied_bit(occupied: &[u64], from: usize) -> Option<usize> {
 /// assert_eq!(q.now(), Timestamp::from_millis(10));
 /// ```
 pub struct EventQueue<E> {
-    /// `buckets[t & WHEEL_MASK]` holds the events due at instant `t` for
+    /// Every pending event, plus the freed slots awaiting reuse.
+    slab: Vec<Entry<E>>,
+    /// Head of the free-slot list threaded through `next` (`NIL`: none).
+    free: u32,
+    /// `buckets[t & WHEEL_MASK]` lists the events due at instant `t` for
     /// `t` within the current window, in insertion order.
-    buckets: Vec<VecDeque<E>>,
+    buckets: Vec<Fifo>,
     /// One bit per bucket: set iff the bucket is non-empty.
     occupied: [u64; WORDS],
     /// First instant covered by the wheel. `window_start <= now` between
     /// public calls except transiently inside [`EventQueue::pop`].
     window_start: u64,
     /// First instant *not* covered by the wheel: events at or past it go
-    /// to the overflow level. At most `window_start + WHEEL`, and never
-    /// past the earliest overflow instant (else a pop could take a wheel
-    /// event that should sort after a parked overflow one).
+    /// to the outer levels. At most `window_start + WHEEL`, and never
+    /// past the earliest parked instant (else a pop could take a wheel
+    /// event that should sort after a parked one).
     wheel_limit: u64,
     /// Events in wheel buckets (the outer levels hold `len - wheel_len`).
     wheel_len: usize,
     /// Coarse second level for events past `wheel_limit`, within ~4.66 h.
     /// `None` until an event first lands there.
-    level2: Option<Box<Level2<E>>>,
-    /// Events due at or after the second level's limit, in per-instant
-    /// FIFO deques.
-    overflow: BTreeMap<u64, VecDeque<E>>,
-    /// Emptied overflow deques kept for reuse.
-    spare: Vec<VecDeque<E>>,
-    /// Total pending events across both levels.
+    level2: Option<Box<Level2>>,
+    /// Events due at or after the second level's limit: one FIFO list
+    /// per instant, with its length.
+    overflow: BTreeMap<u64, (Fifo, usize)>,
+    /// Total pending events across all levels.
     len: usize,
     now: Timestamp,
 }
@@ -223,14 +294,15 @@ pub struct EventQueue<E> {
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         EventQueue {
-            buckets: (0..WHEEL).map(|_| VecDeque::new()).collect(),
+            slab: Vec::new(),
+            free: NIL,
+            buckets: vec![Fifo::EMPTY; WHEEL],
             occupied: [0; WORDS],
             window_start: 0,
             wheel_limit: WHEEL as u64,
             wheel_len: 0,
             level2: None,
             overflow: BTreeMap::new(),
-            spare: Vec::new(),
             len: 0,
             now: Timestamp::ZERO,
         }
@@ -258,45 +330,38 @@ impl<E> EventQueue<E> {
         self.len == 0
     }
 
-    /// Approximate heap footprint in bytes: bucket, second-level and
-    /// overflow deque capacities times the element size. Retained (not
+    /// Approximate heap footprint in bytes, in O(1): the slab's capacity
+    /// times the entry size, the two bucket arrays and one map key per
+    /// overflow instant (map node overhead is not chased). Retained (not
     /// just occupied) capacity is what a resident home pins in memory,
     /// so this is the number the service runner's eviction accounting
-    /// wants — a freshly recycled queue still reports its full bucket
-    /// arrays.
+    /// wants; it follows the peak number of events the queue has held.
     pub fn approx_bytes(&self) -> usize {
-        let elem = std::mem::size_of::<E>();
-        let deque = std::mem::size_of::<VecDeque<E>>();
-        let mut bytes = std::mem::size_of::<Self>();
-        bytes += self.buckets.capacity() * deque;
-        bytes += self.buckets.iter().map(VecDeque::capacity).sum::<usize>() * elem;
+        let mut bytes = std::mem::size_of::<Self>()
+            + self.slab.capacity() * std::mem::size_of::<Entry<E>>()
+            + self.buckets.capacity() * std::mem::size_of::<Fifo>()
+            + self.overflow.len() * std::mem::size_of::<(u64, (Fifo, usize))>();
         if let Some(l2) = &self.level2 {
-            bytes += std::mem::size_of::<Level2<E>>();
-            bytes += l2.buckets.capacity() * deque;
-            bytes += l2.buckets.iter().map(VecDeque::capacity).sum::<usize>() * (elem + 8);
-        }
-        for dq in self.overflow.values().chain(self.spare.iter()) {
-            bytes += deque + dq.capacity() * elem;
+            bytes +=
+                std::mem::size_of::<Level2>() + l2.buckets.capacity() * std::mem::size_of::<Fifo>();
         }
         bytes
     }
 
-    /// Empties the queue and resets the clock to zero, retaining bucket
-    /// and deque allocations so a recycled queue schedules and pops
-    /// without allocating. Used by the harness's per-thread queue pool.
+    /// Empties the queue and resets the clock to zero, dropping every
+    /// pending payload but keeping the slab's capacity and the bucket
+    /// arrays, so a recycled queue schedules and pops without allocating.
+    /// Used by the harness's per-thread queue pool.
     pub fn clear(&mut self) {
+        self.slab.clear();
+        self.free = NIL;
         if self.wheel_len > 0 {
-            for b in &mut self.buckets {
-                b.clear();
-            }
+            self.buckets.fill(Fifo::EMPTY);
         }
         if let Some(l2) = &mut self.level2 {
             l2.clear();
         }
-        for (_, mut dq) in std::mem::take(&mut self.overflow) {
-            dq.clear();
-            self.spare.push(dq);
-        }
+        self.overflow.clear();
         self.occupied = [0; WORDS];
         self.window_start = 0;
         self.wheel_limit = WHEEL as u64;
@@ -309,6 +374,7 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, at: Timestamp, payload: E) {
         let at = at.max(self.now).as_millis();
         self.len += 1;
+        let idx = self.alloc(at, payload);
         if at >= self.wheel_limit && self.wheel_len == 0 {
             // Empty wheel: slide the window up to the clock so the event
             // lands on the wheel path when it fits. Every pending event
@@ -323,7 +389,7 @@ impl<E> EventQueue<E> {
         }
         if at < self.wheel_limit {
             let b = (at & WHEEL_MASK) as usize;
-            self.buckets[b].push_back(payload);
+            self.buckets[b].push(&mut self.slab, idx);
             self.occupied[b / 64] |= 1 << (b % 64);
             self.wheel_len += 1;
             return;
@@ -342,15 +408,48 @@ impl<E> EventQueue<E> {
         }
         if at < l2.limit {
             let b = ((at >> L2_SHIFT) & L2_IDX_MASK) as usize;
-            l2.buckets[b].push_back((at, payload));
+            l2.buckets[b].push(&mut self.slab, idx);
             l2.occupied[b / 64] |= 1 << (b % 64);
             l2.len += 1;
         } else {
-            self.overflow
-                .entry(at)
-                .or_insert_with(|| self.spare.pop().unwrap_or_default())
-                .push_back(payload);
+            let (list, n) = self.overflow.entry(at).or_insert((Fifo::EMPTY, 0));
+            list.push(&mut self.slab, idx);
+            *n += 1;
         }
+    }
+
+    /// Stores a new entry, reusing a freed slot when there is one, and
+    /// returns its (still unlinked) index.
+    fn alloc(&mut self, at: u64, payload: E) -> u32 {
+        let entry = Entry {
+            at,
+            next: NIL,
+            payload: Some(payload),
+        };
+        if self.free == NIL {
+            let idx = u32::try_from(self.slab.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("event queue slab outgrew u32 indices");
+            self.slab.push(entry);
+            return idx;
+        }
+        let idx = self.free;
+        let slot = &mut self.slab[idx as usize];
+        debug_assert!(slot.payload.is_none(), "free list reached a live entry");
+        self.free = slot.next;
+        *slot = entry;
+        idx
+    }
+
+    /// Takes the payload out of the unlinked entry `idx` and puts the
+    /// slot on the free list.
+    fn release(&mut self, idx: u32) -> (u64, E) {
+        let slot = &mut self.slab[idx as usize];
+        let payload = slot.payload.take().expect("linked entries are live");
+        slot.next = self.free;
+        self.free = idx;
+        (slot.at, payload)
     }
 
     /// Lower bound on the earliest event parked outside the near wheel
@@ -379,15 +478,20 @@ impl<E> EventQueue<E> {
         let b = self
             .next_occupied(from)
             .expect("len > 0 and wheel non-empty after rebase");
-        // Each residue occurs once in the window, so the cyclic distance
-        // from `from` to the bucket recovers the event's instant.
-        let at = from + ((b as u64).wrapping_sub(from) & WHEEL_MASK);
-        let payload = self.buckets[b].pop_front().expect("occupied bit set");
+        let idx = self.buckets[b].pop(&self.slab).expect("occupied bit set");
         if self.buckets[b].is_empty() {
             self.occupied[b / 64] &= !(1 << (b % 64));
         }
         self.wheel_len -= 1;
         self.len -= 1;
+        let (at, payload) = self.release(idx);
+        // Each residue occurs once in the window, so the cyclic distance
+        // from `from` to the bucket is the event's instant.
+        debug_assert_eq!(
+            at,
+            from + ((b as u64).wrapping_sub(from) & WHEEL_MASK),
+            "a wheel bucket held an instant outside the window"
+        );
         debug_assert!(at >= self.now.as_millis(), "virtual time went backwards");
         self.now = Timestamp::from_millis(at);
         Some((self.now, payload))
@@ -401,12 +505,12 @@ impl<E> EventQueue<E> {
         if self.wheel_len == 0 {
             if let Some(l2) = self.level2.as_ref().filter(|l2| l2.len > 0) {
                 // The earliest coarse bucket mixes instants in insertion
-                // order, so the minimum needs a scan of that one bucket;
+                // order, so the minimum needs a walk of that one list;
                 // every second-level event precedes every overflow one.
                 let b = l2.first_bucket().expect("len > 0");
                 let min = l2.buckets[b]
-                    .iter()
-                    .map(|&(at, _)| at)
+                    .iter(&self.slab)
+                    .map(|i| self.slab[i as usize].at)
                     .min()
                     .expect("occupied bit set");
                 return Some(Timestamp::from_millis(min));
@@ -425,25 +529,25 @@ impl<E> EventQueue<E> {
     }
 
     /// Moves the window onto the earliest pending instant's span and
-    /// migrates every newly covered event into its per-millisecond
+    /// relinks every newly covered event into its per-millisecond
     /// bucket. Only called with an empty wheel.
     ///
     /// With second-level events pending, the earliest pending event is
     /// in the earliest occupied coarse bucket (every second-level event
     /// precedes every overflow one), whose span is exactly one wheel
-    /// period: the window adopts that span, the bucket drains in
+    /// period: the window adopts that span, the bucket's list drains in
     /// insertion order (restoring per-instant FIFO as entries land in
-    /// single-instant buckets), and any overflow events the new window
+    /// single-instant buckets), and any overflow instants the new window
     /// covers — possible when the second level's limit was capped
-    /// mid-span by a parked overflow instant — migrate on top. An
+    /// mid-span by a parked overflow instant — splice in on top. An
     /// instant's events never straddle the level-2/overflow split (see
     /// [`EventQueue::schedule`]), so the two sources never interleave
     /// within one instant and the drain order is safe.
     ///
     /// With no second-level events, the window rebases onto the earliest
-    /// overflow instant; `BTreeMap` iteration order (time, then
-    /// insertion) lands migrated events in exactly the order the old
-    /// sorted heap would have popped them.
+    /// overflow instant; `BTreeMap` iteration order (time, then each
+    /// instant's insertion-ordered list) lands migrated events in exactly
+    /// the order the old sorted heap would have popped them.
     fn rebase(&mut self) {
         if let Some(l2) = self.level2.as_mut().filter(|l2| l2.len > 0) {
             let b = l2.first_bucket().expect("len > 0");
@@ -452,21 +556,21 @@ impl<E> EventQueue<E> {
             let span_start = l2.start + (dist << L2_SHIFT);
             self.window_start = span_start;
             self.wheel_limit = span_start + WHEEL as u64;
-            let mut dq = std::mem::take(&mut l2.buckets[b]);
+            let mut idx = std::mem::replace(&mut l2.buckets[b], Fifo::EMPTY).head;
             l2.occupied[b / 64] &= !(1 << (b % 64));
-            l2.len -= dq.len();
-            for (at, payload) in dq.drain(..) {
+            while idx != NIL {
+                let Entry { at, next, .. } = self.slab[idx as usize];
                 debug_assert!(
                     at >= span_start && at < self.wheel_limit,
                     "second-level bucket held an instant outside its span"
                 );
                 let wb = (at & WHEEL_MASK) as usize;
-                self.buckets[wb].push_back(payload);
+                self.buckets[wb].push(&mut self.slab, idx);
                 self.occupied[wb / 64] |= 1 << (wb % 64);
+                l2.len -= 1;
                 self.wheel_len += 1;
+                idx = next;
             }
-            // Hand the drained deque's allocation back to the bucket.
-            l2.buckets[b] = dq;
         } else {
             let &start = self
                 .overflow
@@ -479,25 +583,22 @@ impl<E> EventQueue<E> {
         self.migrate_overflow_into_window();
     }
 
-    /// Migrates every overflow event earlier than `wheel_limit` into its
-    /// wheel bucket, in time order.
+    /// Moves every overflow instant earlier than `wheel_limit` onto its
+    /// wheel bucket, in time order: each instant's list is spliced whole,
+    /// in O(1). The bucket is always empty beforehand — the wheel was
+    /// empty at the rebase, overflow instants are distinct, and none
+    /// equals a drained second-level instant.
     fn migrate_overflow_into_window(&mut self) {
         while let Some(entry) = self.overflow.first_entry() {
             if *entry.key() >= self.wheel_limit {
                 break;
             }
-            let (at, mut dq) = entry.remove_entry();
+            let (at, (list, n)) = entry.remove_entry();
             let b = (at & WHEEL_MASK) as usize;
-            self.wheel_len += dq.len();
-            if self.buckets[b].capacity() == 0 {
-                // First use of this bucket: adopt the overflow deque's
-                // allocation instead of growing an empty one.
-                self.buckets[b] = dq;
-            } else {
-                self.buckets[b].append(&mut dq);
-                self.spare.push(dq);
-            }
+            debug_assert!(self.buckets[b].is_empty(), "an instant spans two levels");
+            self.buckets[b] = list;
             self.occupied[b / 64] |= 1 << (b % 64);
+            self.wheel_len += n;
         }
     }
 
@@ -511,6 +612,7 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::rc::Rc;
 
     fn t(ms: u64) -> Timestamp {
         Timestamp::from_millis(ms)
@@ -927,22 +1029,94 @@ mod tests {
         assert_eq!(at, t(2_000), "the wheel time is the clamp, not t=700");
     }
 
-    #[test]
-    fn approx_bytes_tracks_retained_capacity() {
-        let mut q: EventQueue<u64> = EventQueue::new();
-        let fresh = q.approx_bytes();
-        assert!(fresh > WHEEL * std::mem::size_of::<VecDeque<u64>>());
-        for i in 0..10_000u64 {
-            q.schedule(t(i * 7_919), i); // spans wheel, L2 and overflow
+    /// Runs `q` through ~6,000 distinct instants over hours of virtual
+    /// time while holding at most 64 events at once: each pop is
+    /// followed by a schedule on the wheel, the second level or the
+    /// overflow map, and every level is asserted to hold events at some
+    /// point. Returns the peak number of live events.
+    fn load_all_levels(q: &mut EventQueue<u64>) -> usize {
+        let mut x = 0x51AB_5EEDu64;
+        let mut next_ahead = |i: u64| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            x % [WHEEL as u64, L2_SPAN, 2 * L2_SPAN][(i % 3) as usize]
+        };
+        let (mut peak, mut reached) = (0, [false; 3]);
+        for i in 0..6_000u64 {
+            if i >= 64 {
+                q.pop().expect("64 events stay pending");
+            }
+            q.schedule(t(q.now().as_millis() + next_ahead(i)), i);
+            peak = peak.max(q.len());
+            reached[0] |= q.wheel_len > 0;
+            reached[1] |= q.level2.as_ref().is_some_and(|l2| l2.len > 0);
+            reached[2] |= !q.overflow.is_empty();
         }
+        assert_eq!(reached, [true; 3], "the load reaches every level");
+        peak
+    }
+
+    #[test]
+    fn approx_bytes_follows_peak_live_events() {
+        // The memory contract: buckets cost a fixed 8 B each, so beyond
+        // the two bucket arrays a queue pays only for the events it has
+        // held at once — a slab entry each, doubled for `Vec` growth,
+        // plus at most one overflow key each — however many instants
+        // the run has touched.
+        let fixed = std::mem::size_of::<EventQueue<u64>>()
+            + (WHEEL + L2_BUCKETS) * std::mem::size_of::<Fifo>()
+            + std::mem::size_of::<Level2>();
+        let per_event =
+            2 * std::mem::size_of::<Entry<u64>>() + std::mem::size_of::<(u64, (Fifo, usize))>();
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let peak = load_all_levels(&mut q);
         let loaded = q.approx_bytes();
-        assert!(loaded > fresh, "deque growth must show up");
-        while q.pop().is_some() {}
-        q.clear();
         assert!(
-            q.approx_bytes() >= fresh,
-            "recycled queues keep their capacity — that is the point \
-             of reporting retained rather than occupied bytes"
+            loaded <= fixed + peak * per_event,
+            "{loaded} B for a peak of {peak} live events (bound {})",
+            fixed + peak * per_event
         );
+        // The pool's promise: a cleared queue refilled with the same
+        // shape reuses its slab, so the footprint never moves — no
+        // allocation per event.
+        for _ in 0..100 {
+            q.clear();
+            assert!(q.is_empty());
+            assert_eq!(load_all_levels(&mut q), peak);
+            assert_eq!(q.approx_bytes(), loaded);
+        }
+    }
+
+    #[test]
+    fn every_payload_drops_exactly_once() {
+        // A freed slot must not keep its payload alive, and `clear` and
+        // dropping the queue must each release every pending payload
+        // once: the token's strong count is always 1 + live payloads.
+        let token = Rc::new(());
+        let live = |token: &Rc<()>| Rc::strong_count(token) - 1;
+        let far = |i: u64| t(i.wrapping_mul(2_654_435_761) % (L2_SPAN * 3));
+        let mut q = EventQueue::new();
+        for i in 0..300 {
+            q.schedule(far(i), Rc::clone(&token));
+        }
+        assert_eq!(live(&token), 300);
+        for _ in 0..100 {
+            drop(q.pop().expect("pending"));
+        }
+        assert_eq!(live(&token), 200, "popped payloads are released");
+        for i in 0..50 {
+            q.schedule(far(i + 1_000), Rc::clone(&token)); // reuses freed slots
+        }
+        assert_eq!(live(&token), 250);
+        q.clear();
+        assert_eq!(live(&token), 0, "clear drops every pending payload");
+        for i in 0..40 {
+            q.schedule(far(i), Rc::clone(&token));
+        }
+        drop(q.pop());
+        assert_eq!(live(&token), 39);
+        drop(q);
+        assert_eq!(live(&token), 0, "dropping the queue drops the rest");
     }
 }

@@ -5,12 +5,13 @@
 //! the repo depends on: pops in non-decreasing timestamp order, FIFO
 //! among same-instant events (by insertion sequence), and past events
 //! clamped to `now` *keeping their insertion rank at the clamped
-//! instant*. This test drives random interleaved schedule/pop sequences
-//! — with timestamps spanning in-wheel, window-edge and deep-overflow
-//! horizons, and deliberate past-event clamps — against a naive
-//! reference that literally is the old heap, and checks the two produce
-//! identical `(at, payload)` pop streams, clocks and peeks at every
-//! step.
+//! instant*. This test drives random interleaved schedule/pop/clear
+//! sequences — with timestamps spanning in-wheel, window-edge and
+//! deep-overflow horizons, and deliberate past-event clamps — against a
+//! naive reference that literally is the old heap, and checks the two
+//! produce identical `(at, payload)` pop streams, clocks, peeks and
+//! lengths at every step. The clears exercise the slab's reuse: slots
+//! freed by pops and by a reset are relinked by later schedules.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -78,31 +79,45 @@ impl HeapQueue {
     fn peek_time(&self) -> Option<Timestamp> {
         self.heap.peek().map(|e| e.at)
     }
+
+    fn clear(&mut self) {
+        self.heap.clear();
+        self.now = Timestamp::ZERO;
+    }
 }
 
-/// One scripted operation: `Some(offset_kind)` schedules, `None` pops.
-/// Offsets are interpreted relative to the queue's clock so clamping and
-/// horizon crossings happen throughout the run, not only at the start.
+/// One scripted operation: `kind` picks schedule (about half the time),
+/// pop or — one kind in 50 — clear. Offsets are interpreted relative to
+/// the queue's clock so clamping and horizon crossings happen throughout
+/// the run, not only at the start.
 fn apply_ops(ops: &[(u8, u16)]) -> Result<(), String> {
     let mut wheel = EventQueue::new();
     let mut heap = HeapQueue::new();
     let mut payload = 0u32;
     for &(kind, raw) in ops {
         match kind % 4 {
-            // Schedule near (in-wheel), far (overflow), or in the past
-            // (clamped); identical calls go to both queues.
+            // Reset both queues: the slab's slots are reused afterwards.
+            _ if kind % 50 == 49 => {
+                wheel.clear();
+                heap.clear();
+                prop_assert_eq!(wheel.now(), heap.now, "clear resets the clock");
+                prop_assert_eq!(wheel.peek_time(), None, "clear empties the queue");
+            }
+            // Schedule near (in-wheel), far (second level), deep (past
+            // the second level's ~4.66 h span, so overflow; some on a
+            // few shared instants so one overflow instant holds several
+            // events), or in the past (clamped); identical calls go to
+            // both queues.
             0 | 1 => {
-                let at = match kind % 4 {
-                    0 => Timestamp::from_millis(wheel.now().as_millis() + raw as u64),
-                    _ => {
-                        // Past half the time (clamp), deep future otherwise.
-                        if raw % 2 == 0 {
-                            Timestamp::from_millis(wheel.now().as_millis() / 2)
-                        } else {
-                            Timestamp::from_millis(wheel.now().as_millis() + 4_096 + raw as u64 * 7)
-                        }
-                    }
+                let now = wheel.now().as_millis();
+                let at = match (kind % 4, raw % 8) {
+                    (0, _) => now + raw as u64,
+                    (_, 0 | 2 | 4 | 6) => now / 2,
+                    (_, 1 | 5) => now + 4_096 + raw as u64 * 7,
+                    (_, 3) => now + raw as u64 * 7_919,
+                    _ => 40_000_000 + (raw as u64 >> 3) % 4 * 1_000,
                 };
+                let at = Timestamp::from_millis(at);
                 payload += 1;
                 wheel.schedule(at, payload);
                 heap.schedule(at, payload);
@@ -120,6 +135,7 @@ fn apply_ops(ops: &[(u8, u16)]) -> Result<(), String> {
             }
         }
         prop_assert_eq!(wheel.len(), heap.heap.len(), "lengths diverged");
+        prop_assert_eq!(wheel.is_empty(), heap.heap.is_empty(), "emptiness diverged");
     }
     // Drain whatever is left: the full residual orders must agree too.
     while let Some(h) = heap.pop() {
