@@ -19,9 +19,9 @@
 //! sub-drivers and merge them back byte-identically.
 //!
 //! [`plan`] wraps the partition in the full eligibility gate (the
-//! harness's spec-level preconditions plus a hazard-clean lint report
-//! and an actual split); [`planner`] packages it as the injectable
-//! service callback.
+//! harness's spec-level preconditions plus the lint gate
+//! [`crate::check`] and an actual split); [`planner`] packages it as
+//! the injectable service callback.
 
 use safehome_harness::{
     intra::{HomePartition, IntraPlanner},
@@ -97,9 +97,10 @@ pub fn partition(spec: &RunSpec) -> HomePartition {
         let root = dsu.find(i);
         clusters.entry(root).or_default().push(i);
     }
-    // BTreeMap iteration gives components ordered by root = smallest
-    // member (the root of a component is always reachable from its
-    // minimum, and we keyed by find(i) — normalize by min to be safe).
+    // Union by size can make any member a component's root, so the map's
+    // root order says nothing; each component's indices are ascending
+    // (pushed in index order), and the sort orders components by their
+    // smallest member.
     let mut out: Vec<Vec<usize>> = clusters.into_values().collect();
     out.sort_by_key(|c| c[0]);
     HomePartition { clusters: out }
@@ -110,12 +111,15 @@ pub fn partition(spec: &RunSpec) -> HomePartition {
 ///
 /// - the harness preconditions hold ([`spec_decomposable`]: empty
 ///   failure plan, deterministic latency, EV model),
-/// - the spec is hazard-clean ([`crate::check`] — an Error-severity
-///   diagnostic like a dangling `After` edge would make the structural
-///   partition itself unreliable),
+/// - the spec has no Error-severity diagnostic ([`crate::check`] — one
+///   like a dangling `After` edge would make the structural partition
+///   itself unreliable),
 /// - the partition actually splits the home (≥ 2 clusters).
 ///
-/// `None` means "run sequentially", never "error".
+/// `None` means "run sequentially", never "error". Planning never
+/// predicts a conflict pair: [`crate::check`] runs footprints and rules
+/// only and [`partition`] unions by device and `After` edge, so its
+/// cost grows with the spec's commands, not with pairs of submissions.
 ///
 /// [`spec_decomposable`]: safehome_harness::intra::spec_decomposable
 pub fn plan(spec: &RunSpec) -> Option<HomePartition> {

@@ -197,6 +197,13 @@ fn shared_kind(a: &DeviceAccess, b: &DeviceAccess) -> AccessKind {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Submission pairs [`predict`] has evaluated on this thread. Tests
+    /// read it to pin which entry points pay for the all-pairs pass.
+    pub(crate) static PAIRS_EVALUATED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Predicts every may-conflict pair: shared footprint device plus
 /// overlapping windows.
 pub fn predict(footprints: &[Vec<DeviceAccess>], windows: &[Window]) -> Vec<ConflictPrediction> {
@@ -205,6 +212,8 @@ pub fn predict(footprints: &[Vec<DeviceAccess>], windows: &[Window]) -> Vec<Conf
     let mut out = Vec::new();
     for a in 0..n {
         for b in (a + 1)..n {
+            #[cfg(test)]
+            PAIRS_EVALUATED.with(|c| c.set(c.get() + 1));
             if !windows[a].overlaps(&windows[b]) {
                 continue;
             }
@@ -242,13 +251,6 @@ mod tests {
 
     fn spec() -> RunSpec {
         RunSpec::new(plug_home(4), EngineConfig::new(VisibilityModel::ev()))
-    }
-
-    fn fp(spec: &RunSpec) -> Vec<Vec<DeviceAccess>> {
-        spec.submissions
-            .iter()
-            .map(|s| s.routine.footprint())
-            .collect()
     }
 
     #[test]
@@ -294,7 +296,7 @@ mod tests {
         s.submit(Submission::at(one_cmd("a", d(0)), Timestamp::ZERO));
         s.submit(Submission::at(one_cmd("b", d(0)), Timestamp::ZERO));
         s.submit(Submission::at(one_cmd("c", d(1)), Timestamp::ZERO));
-        let preds = predict(&fp(&s), &windows(&s));
+        let preds = predict(&crate::footprints(&s), &windows(&s));
         assert_eq!(preds.len(), 1);
         assert_eq!((preds[0].a, preds[0].b), (0, 1));
         assert_eq!(preds[0].devices, vec![(d(0), AccessKind::WriteWrite)]);
@@ -312,7 +314,7 @@ mod tests {
         };
         s.submit(Submission::at(reader("r1"), Timestamp::ZERO));
         s.submit(Submission::at(reader("r2"), Timestamp::ZERO));
-        let preds = predict(&fp(&s), &windows(&s));
+        let preds = predict(&crate::footprints(&s), &windows(&s));
         let pair = |a, b| preds.iter().find(|p| (p.a, p.b) == (a, b)).unwrap();
         assert_eq!(pair(0, 1).devices, vec![(d(0), AccessKind::ReadWrite)]);
         assert_eq!(
@@ -333,7 +335,7 @@ mod tests {
         s.submit(Submission::at(one_cmd("b1", d(0)), day));
         s.submit(Submission::at(one_cmd("b2", d(0)), day));
         assert!(serial_bound(&s) < TimeDelta::from_secs(60));
-        let preds = predict(&fp(&s), &windows(&s));
+        let preds = predict(&crate::footprints(&s), &windows(&s));
         let pairs: Vec<_> = preds.iter().map(|p| (p.a, p.b)).collect();
         assert_eq!(pairs, vec![(0, 1), (2, 3)], "no cross-cluster pairs");
     }

@@ -28,8 +28,13 @@
 //! Entry points: [`analyze`] / [`analyze_spec`] return the full
 //! [`LintReport`]; [`check`] is the harness gate (`Err` on any
 //! Error-severity diagnostic) for
-//! `safehome_harness::sim::Driver::with_sink_checked` and
-//! `safehome_harness::fleet::run_fleet_gated`. Linting a spec never
+//! `safehome_harness::sim::Driver::with_sink_checked`,
+//! `safehome_harness::fleet::run_fleet_gated` and the intra-home
+//! [`cluster::plan`]. The gate runs footprints plus the rule catalog
+//! only, never windows or conflict pairs, so its cost is linear in the
+//! spec's commands. The prediction evaluates all n(n−1)/2 submission
+//! pairs (18M for a 6,000-routine workshop, ~2.1M of them kept) and
+//! runs only for callers that read the [`LintReport`]. Linting a spec never
 //! perturbs its execution: gates only read the spec, so per-home digests
 //! are byte-identical with and without the lint hook.
 
@@ -82,14 +87,19 @@ impl LintReport {
     }
 }
 
+/// Every submission's footprint, in submission order: the input
+/// [`rules::run`] takes, shared by [`analyze`] and [`check`].
+pub(crate) fn footprints(spec: &RunSpec) -> Vec<Vec<DeviceAccess>> {
+    spec.submissions
+        .iter()
+        .map(|s| s.routine.footprint())
+        .collect()
+}
+
 /// Runs the full static analysis: footprints, windows, conflict
 /// prediction, and the hazard rule catalog.
 pub fn analyze(home: &Home, spec: &RunSpec) -> LintReport {
-    let footprints: Vec<Vec<DeviceAccess>> = spec
-        .submissions
-        .iter()
-        .map(|s| s.routine.footprint())
-        .collect();
+    let footprints = footprints(spec);
     let windows = conflict::windows(spec);
     let conflicts = conflict::predict(&footprints, &windows);
     let diagnostics = rules::run(home, spec, &footprints);
@@ -109,10 +119,14 @@ pub fn analyze_spec(spec: &RunSpec) -> LintReport {
 /// The harness gate: rejects specs carrying Error-severity diagnostics,
 /// rendering each offending diagnostic into the message. Warnings pass —
 /// they are the lint bin's and CI's business, not the runtime's.
+///
+/// It computes footprints and runs the rule catalog once, as
+/// [`analyze_spec`] does, and never builds windows or conflict pairs:
+/// no rule reads them. So it returns what filtering [`analyze_spec`]'s
+/// diagnostics would, at about one pass over the spec's commands
+/// instead of one per pair of submissions.
 pub fn check(spec: &RunSpec) -> Result<(), String> {
-    let report = analyze_spec(spec);
-    let errors: Vec<String> = report
-        .diagnostics
+    let errors: Vec<String> = rules::run(&spec.home, spec, &footprints(spec))
         .iter()
         .filter(|d| d.severity >= Severity::Error)
         .map(|d| d.to_string())
@@ -178,6 +192,37 @@ mod tests {
         assert!(check(&warn).is_ok(), "warnings pass the gate");
         assert!(!report.is_clean(Severity::Warning));
         assert!(report.is_clean(Severity::Error));
+    }
+
+    #[test]
+    fn gate_and_planner_evaluate_no_conflict_pair() {
+        // Six zones of 200 routines, fixed latency and no failure plan:
+        // decomposable, clean, and one cluster per zone.
+        let zones = safehome_workloads::ZoneParams::new(6, TimeDelta::from_mins(10), 200);
+        let spec = safehome_workloads::zoned_home(
+            EngineConfig::new(VisibilityModel::ev()),
+            &zones,
+            safehome_harness::home_seed(18, 0),
+        );
+        let pairs = || conflict::PAIRS_EVALUATED.with(|c| c.get());
+        let before = pairs();
+        assert_eq!(check(&spec), Ok(()));
+        let split = cluster::plan(&spec).expect("six disjoint zones split");
+        let by_zone: Vec<Vec<usize>> = (0..6).map(|z| (z * 200..(z + 1) * 200).collect()).collect();
+        assert_eq!(split.clusters, by_zone);
+        assert_eq!(
+            pairs() - before,
+            0,
+            "the gate and the planner predict no pair"
+        );
+
+        analyze_spec(&spec);
+        let n = spec.submissions.len() as u64;
+        assert_eq!(
+            pairs() - before,
+            n * (n - 1) / 2,
+            "the full report predicts all pairs"
+        );
     }
 
     #[test]

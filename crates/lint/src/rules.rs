@@ -505,12 +505,7 @@ mod tests {
     }
 
     fn rules_of(spec: &RunSpec) -> Vec<RuleId> {
-        let footprints: Vec<_> = spec
-            .submissions
-            .iter()
-            .map(|s| s.routine.footprint())
-            .collect();
-        run(&spec.home, spec, &footprints)
+        run(&spec.home, spec, &crate::footprints(spec))
             .into_iter()
             .map(|diag| diag.rule)
             .collect()
@@ -699,12 +694,7 @@ mod tests {
             .set(d(9), Value::ON, TimeDelta::ZERO)
             .build();
         let spec = spec_with(plug_home(1), vec![r]);
-        let footprints: Vec<_> = spec
-            .submissions
-            .iter()
-            .map(|s| s.routine.footprint())
-            .collect();
-        let diags = run(&spec.home, &spec, &footprints);
+        let diags = run(&spec.home, &spec, &crate::footprints(&spec));
         let rendered = diags[0].to_string();
         assert!(rendered.contains("error [unknown-device]"), "{rendered}");
         assert!(rendered.contains("noisy"), "{rendered}");

@@ -8,15 +8,22 @@ Usage, from the repository root:
 
 The reference is perfbench/baseline/run-1.json, a traced run recorded on a
 shared 2-vCPU virtual machine. The two runs may come from different
-machines, so every limit is loose: a row fails only when its path is
-several times slower than the reference, never on drift. Tight
-comparisons on one machine are `perfbench --compare`, under the bounds in
-BENCHMARK.json.
+machines, so the limits are loose: a row fails only when its path is
+several times slower than the reference, never on drift (the lint row
+below is the one exception). Tight comparisons on one machine are
+`perfbench --compare`, under the bounds in BENCHMARK.json.
 
 Each row names a workload, a metric of the run (an end-to-end metric or,
 from `--trace 1`, a per-layer one) and the largest slowdown allowed against
 the reference. Slowdown is reference/run for a metric where higher is
 better and run/reference otherwise.
+
+The `lint.plan_ms` row's limit is below 1: the run must plan in at most
+a quarter of the reference's time. The reference was recorded while the
+lint gate still predicted every conflict pair (3,049 ms). The gate now
+runs footprints and rules only and reads about 0.01 of that, while a
+revert to the all-pairs gate reads 1.5-1.8x. A limit above 1 would pass
+that revert; 0.25 still leaves a slower host about 20x headroom.
 
 The two `journal.*` rows measure the benchmark's side journal pass, which
 journals, crashes and replays homes of its own. The service runner does
@@ -49,7 +56,9 @@ FLOORS = [
     ("workshop_intra", "routines_per_s", True, 2.5, "intra-home sub-slices and merge"),
     ("service_evict", "journal.append_overhead", False, 2.0, "journal append"),
     ("service_evict", "journal.replay_ns_per_record", False, 2.5, "journal replay"),
-    ("workshop_intra", "lint.plan_ms", False, 4.0, "lint cluster planning"),
+    # The gate without the all-pairs conflict prediction reads ~0.01; a
+    # revert to it reads 1.5-1.8x.
+    ("workshop_intra", "lint.plan_ms", False, 0.25, "lint cluster planning"),
     ("neighborhood_batch", "timeline.place_us.paper", False, 2.5, "Fig. 15d placement"),
 ]
 
@@ -101,7 +110,7 @@ def main(argv):
             verdict, slowdown = "missing (run with --trace 1 on every workload)", float("nan")
         else:
             slowdown = r / b if higher else b / r
-            verdict = "ok" if slowdown <= limit else f"FAIL: {path} is {slowdown:.2f}x slower"
+            verdict = "ok" if slowdown <= limit else f"FAIL: {path} reads {slowdown:.2f}x the reference"
         ok &= verdict == "ok"
         print(f"{workload} {metric} {r} {b} {slowdown:.2f} {limit} {verdict}")
     print("workload numerator/denominator ratio limit verdict")
