@@ -290,10 +290,11 @@ fn main() {
             Json::from(
                 "eviction of cold resident homes: between slices a quiescent home \
                  keeps its runtime core (engine, sink, tables) beside a snapshot of \
-                 its world (device states, RNG, pending submissions in pop order), \
-                 and its queue and device storage return to the thread pool; the \
-                 next timer fire resumes the kept core on a backend rebuilt from the \
-                 snapshot — results must be byte-identical to a never-evicted run \
+                 its world (device states, RNG, its presorted arrival lane with the \
+                 lane's cursor, and the released dependents its queue held, in pop \
+                 order), and its queue and device storage return to the thread pool; \
+                 the next timer fire resumes the kept core on a backend rebuilt from \
+                 the snapshot — results must be byte-identical to a never-evicted run \
                  (digest_neutral); counts are from one worker",
             ),
         ),

@@ -38,9 +38,9 @@
 //! Two recovery modes fall out:
 //!
 //! - **Resume** (the sim's crash/restore injection): the world — the
-//!   backend with its queue, devices, RNG and detector — survived; only
-//!   the controller died. [`HomeRuntime::resume`] rebinds the recovered
-//!   core to the surviving backend and the continuation is
+//!   backend with its arrival lane, queue, devices, RNG and detector —
+//!   survived; only the controller died. [`HomeRuntime::resume`] rebinds
+//!   the recovered core to the surviving backend and the continuation is
 //!   event-for-event identical to an uncrashed run (the crash-recovery
 //!   tests pin this with `RunCounters` digest equality).
 //! - **Redrive** (process restart with a fresh backend): pending
@@ -455,7 +455,7 @@ impl<'a, B: Backend, S: TraceSink> HomeRuntime<'a, B, S> {
     ///   reversible effects roll back.
     ///
     /// Not needed after [`HomeRuntime::resume`] onto a surviving backend,
-    /// whose queue still holds all of this.
+    /// whose arrival lane and queue still hold all of this.
     pub fn redrive(&mut self, report: &RecoveryReport) {
         let at = report.restart_at.max(self.backend.now());
         for &(t, i) in &report.pending_submits {
@@ -655,13 +655,15 @@ mod tests {
     /// Redrive onto a resurrected world: at a *cold* point — engine
     /// quiescent, world holding nothing but future workload submissions
     /// — a journaled home crashes, its backend is torn down to a world
-    /// snapshot whose drained submissions are then dropped, and the core
-    /// is rebuilt by journal replay. Redrive must re-derive exactly those
-    /// submissions from the journal alone, and the continuation must be
-    /// invisible — counters, digest and end states equal a never-crashed
-    /// run — through repeated cycles. (The service runner's eviction keeps
-    /// the core instead and re-schedules the drained submissions itself;
-    /// `service::tests::evicted_home_resumes_event_for_event` pins that.)
+    /// snapshot whose pending submissions (the lane's unconsumed arrivals
+    /// and the dependents drained from the queue) are then taken out, and
+    /// the core is rebuilt by journal replay. Redrive must re-derive
+    /// exactly those submissions, in pop order, from the journal alone,
+    /// and the continuation must be invisible — counters, digest and end
+    /// states equal a never-crashed run — through repeated cycles. (The
+    /// service runner's eviction keeps the core and the snapshot's
+    /// submissions instead; `service::tests::evicted_home_resumes_event_for_event`
+    /// pins that.)
     #[test]
     fn quiescent_evict_and_resurrect_matches_unevicted() {
         let mut spec =
@@ -685,7 +687,7 @@ mod tests {
             if evictions < 8 && drv.engine().quiescent() && drv.backend().only_submits_pending() {
                 let (journal, backend) = drv.crash();
                 let mut world = backend.into_world_snapshot();
-                let drained = std::mem::take(&mut world.submits);
+                let drained = world.take_pending_submits();
                 let rec = recover(
                     journal,
                     spec.config.clone(),
@@ -703,7 +705,7 @@ mod tests {
                 );
                 assert_eq!(
                     rec.report.pending_submits, drained,
-                    "replay derives the submissions the queue held, in pop order"
+                    "replay derives the submissions the world held, in pop order"
                 );
                 drv = HomeRuntime::resume(rec.core, SimBackend::resurrect(&spec, world));
                 drv.redrive(&rec.report);

@@ -68,8 +68,8 @@ pub enum Polled {
     Event(Timestamp),
     /// The event source is permanently empty (simulation queue drained).
     Exhausted,
-    /// An event arrived past [`RuntimeCore::horizon`]; it was discarded
-    /// and the run must stall.
+    /// The next event lies past [`RuntimeCore::horizon`]; nothing was
+    /// consumed, and the run must stall until the horizon moves.
     PastHorizon,
     /// Nothing arrived within the poll window; the caller re-checks
     /// quiescence and the horizon, then polls again.
@@ -124,6 +124,18 @@ pub trait Backend {
     /// Schedules workload submission `index` for `at`.
     fn schedule_submit(&mut self, at: Timestamp, index: usize);
 
+    /// Takes the workload's absolute arrivals, `(time, index)` in index
+    /// order, in one call at assembly, before anything else is scheduled.
+    /// The default schedules each through [`Backend::schedule_submit`];
+    /// the simulation backend keeps them in a presorted lane beside its
+    /// queue instead. Either way they pop by time, then index, ahead of
+    /// any other event due at the same instant.
+    fn schedule_arrivals(&mut self, arrivals: impl Iterator<Item = (Timestamp, usize)>) {
+        for (at, index) in arrivals {
+            self.schedule_submit(at, index);
+        }
+    }
+
     /// Consumes one event from the backend's source, feeding it to the
     /// core via its callbacks.
     fn poll<S: TraceSink>(&mut self, core: &mut RuntimeCore<'_, S>) -> Polled;
@@ -143,7 +155,7 @@ pub trait Backend {
 /// tables (submission indices and [`RoutineId`]s are both dense per
 /// home), so a pool can recycle the allocations across homes.
 ///
-/// Backends that pool (see `HomeStatePool` in [`crate::sim`]) receive
+/// Backends that pool (see `PooledHome` in [`crate::sim`]) receive
 /// the tables back through [`Backend::reclaim`] and hand them to the
 /// next run; [`HomeTables::reset`] clears contents while keeping every
 /// inner allocation.
@@ -316,26 +328,34 @@ impl<'a, S: TraceSink> RuntimeCore<'a, S> {
     }
 
     /// Registers the workload's arrivals with the backend: absolute
-    /// arrivals are scheduled, `After` chains are parked in the deferral
-    /// table until their predecessor finishes (journaled as
-    /// `DeferralArmed`, so recovery can rebuild pending chains).
+    /// arrivals are handed over in one [`Backend::schedule_arrivals`]
+    /// call, `After` chains are parked in the deferral table until their
+    /// predecessor finishes (journaled as `DeferralArmed`, so recovery can
+    /// rebuild pending chains).
     pub(crate) fn schedule_workload<B: Backend>(&mut self, b: &mut B) {
-        for i in 0..self.workload.len() {
-            match self.workload[i].arrival {
-                Arrival::At(at) => b.schedule_submit(at, i),
-                Arrival::After { index, delay } => {
-                    assert!(index < self.workload.len(), "dangling dependency");
-                    self.tables.defer(index, i, delay);
-                    self.unscheduled += 1;
-                    self.jot(
-                        Timestamp::ZERO,
-                        EventPayload::DeferralArmed {
-                            pred: index as u64,
-                            dep: i as u64,
-                            delay,
-                        },
-                    );
-                }
+        let workload = self.workload;
+        b.schedule_arrivals(
+            workload
+                .iter()
+                .enumerate()
+                .filter_map(|(i, s)| match s.arrival {
+                    Arrival::At(at) => Some((at, i)),
+                    Arrival::After { .. } => None,
+                }),
+        );
+        for (i, s) in workload.iter().enumerate() {
+            if let Arrival::After { index, delay } = s.arrival {
+                assert!(index < workload.len(), "dangling dependency");
+                self.tables.defer(index, i, delay);
+                self.unscheduled += 1;
+                self.jot(
+                    Timestamp::ZERO,
+                    EventPayload::DeferralArmed {
+                        pred: index as u64,
+                        dep: i as u64,
+                        delay,
+                    },
+                );
             }
         }
     }

@@ -50,17 +50,22 @@
 //! workload submissions, no failure plan — may be **evicted**. Its
 //! runtime core (engine, sink, deferral and submission tables) is kept
 //! whole, boxed; its world shrinks to a [`WorldSnapshot`] of device
-//! states, RNG position and pending submissions, drained from the queue
-//! in pop order; and its queue and device storage go back to the thread
-//! pool ([`SimBackend::into_world_snapshot`]). When the home's next
-//! timer fires, the popping worker brings it back with
-//! [`SimBackend::resurrect`] and [`HomeRuntime::resume`]: devices and RNG
-//! restored, the drained submissions re-scheduled in the same order.
-//! The queue pops by time, then insertion order, so the continuation is
-//! event-for-event that of a never-evicted run, and bringing a home
-//! back costs nothing that grows with its history. `After` chains evict
-//! too: a released dependent is a pending submission like any other,
-//! and an unreleased one waits in the kept core's deferral table.
+//! states, RNG position, the backend's arrival lane with its cursor and
+//! the released `After` dependents drained from the queue in pop order;
+//! and its queue and device storage go back to the thread pool
+//! ([`SimBackend::into_world_snapshot`]). The workload's absolute
+//! arrivals never enter the queue (see [`SimBackend`]): the lane moves
+//! over whole, so a pending arrival costs no queue operation on eviction
+//! or on resume, however many are pending. When the home's next timer
+//! fires, the popping worker brings it back with [`SimBackend::resurrect`]
+//! and [`HomeRuntime::resume`]: devices, RNG and lane restored, the
+//! drained dependents re-scheduled in the same order. The queue pops by
+//! time, then insertion order, and the lane wins ties, so the
+//! continuation is event-for-event that of a never-evicted run, and
+//! bringing a home back costs nothing that grows with its history.
+//! `After` chains evict too: a released dependent is a pending submission
+//! like any other, and an unreleased one waits in the kept core's
+//! deferral table.
 //!
 //! Nothing is journaled here, so an evicted home is no longer durable on
 //! its own: it lives in this process's memory like a resident home, only
@@ -194,8 +199,12 @@ pub struct ServiceResult {
     /// Most homes ever simultaneously resident (holding pooled simulator
     /// state). Without eviction this is simply the fleet size.
     pub peak_resident_homes: usize,
-    /// Approximate heap bytes one *resident* home pins (largest observed
-    /// sample: event-queue buckets and slab + device slots).
+    /// Approximate heap bytes one *resident* home pins: the event queue's
+    /// buckets and slab, the arrival lane and the device slots. The
+    /// largest of the samples taken from the first home each worker
+    /// builds, from every home the runner evicts and from every home when
+    /// it finishes, where its queue's slab has reached the most events
+    /// it held at once.
     pub approx_resident_home_bytes: usize,
     /// Approximate heap bytes one *evicted* home retains (largest
     /// observed sample: the kept runtime core — engine history, sink
@@ -806,6 +815,8 @@ fn run_slice<'a>(
     }
 
     if d.is_done() {
+        ctx.resident_bytes
+            .fetch_max(d.backend().approx_resident_bytes(), Ordering::SeqCst);
         let Cell::Live(d) = std::mem::replace(&mut slot.cell, Cell::Vacant) else {
             unreachable!()
         };
@@ -1197,32 +1208,72 @@ mod tests {
         spec
     }
 
-    /// The eviction contract: evicting a home at every cold point of a
-    /// long history (snapshot its world, keep its core) and resuming it
-    /// with that same core is invisible — counters, digest and end
-    /// states equal the never-evicted run.
-    #[test]
-    fn evicted_home_resumes_event_for_event() {
-        let spec = long_sparse_home(110, 0x5EED);
-        let mut plain = Driver::with_sink(&spec, RunCounters::new());
+    /// [`long_sparse_home`] with each burst's last routine followed by
+    /// an `After` dependent five minutes later, released into the queue
+    /// while the next bursts still wait in the arrival lane.
+    fn long_sparse_chained_home(clusters: u64, seed: u64) -> RunSpec {
+        let mut spec = long_sparse_home(clusters, seed);
+        for c in 0..clusters as usize {
+            let r = Routine::builder(format!("c{c}dep"))
+                .set(
+                    DeviceId(c as u32 % 4),
+                    Value::OFF,
+                    TimeDelta::from_millis(50),
+                )
+                .build();
+            spec.submit(Submission::after(r, c * 5 + 4, TimeDelta::from_mins(5)));
+        }
+        spec
+    }
+
+    /// Evicts `spec`'s home at every cold point of its run (snapshot its
+    /// world, keep its core) and resumes it with that same core, then
+    /// checks the result equals the never-evicted run: counters, digest
+    /// and end states. Returns the number of evictions and how many of
+    /// them parked lane arrivals and released dependents together.
+    fn evict_at_every_cold_point(spec: &RunSpec) -> (usize, usize) {
+        let mut plain = Driver::with_sink(spec, RunCounters::new());
         assert!(plain.run_to_quiescence());
         let (want, want_committed, _) = plain.into_output();
         assert!(want.committed >= 500, "a long history");
 
-        let mut d = Driver::with_sink(&spec, RunCounters::new());
-        let mut evictions = 0;
+        let mut d = Driver::with_sink(spec, RunCounters::new());
+        let (mut evictions, mut mixed) = (0, 0);
         while !d.is_done() {
             if is_cold(&d) {
-                d = EvictedHome::evict(d).resume(&spec);
+                let evicted = EvictedHome::evict(d);
+                let (lane, queued) = evicted.world.pending();
+                mixed += usize::from(!lane.is_empty() && !queued.is_empty());
+                d = evicted.resume(spec);
                 evictions += 1;
             }
             d.step();
         }
-        assert!(evictions > 110, "every burst leaves cold points behind");
         let (counters, committed, completed) = d.into_output();
         assert!(completed);
         assert_eq!(counters, want, "counters, digest and end states");
         assert_eq!(committed, want_committed);
+        (evictions, mixed)
+    }
+
+    /// The eviction contract: evicting a home at every cold point of a
+    /// long history and resuming it with its kept core is invisible.
+    #[test]
+    fn evicted_home_resumes_event_for_event() {
+        let (evictions, _) = evict_at_every_cold_point(&long_sparse_home(110, 0x5EED));
+        assert!(evictions > 110, "every burst leaves cold points behind");
+    }
+
+    /// The same contract with `After` chains: snapshots that hold lane
+    /// arrivals and released dependents at once resume in pop order.
+    #[test]
+    fn evicted_chained_home_resumes_event_for_event() {
+        let (evictions, mixed) = evict_at_every_cold_point(&long_sparse_chained_home(110, 0xC4A1));
+        assert!(evictions > 110, "every burst leaves cold points behind");
+        assert!(
+            mixed > 100,
+            "most bursts leave a released dependent beside pending arrivals ({mixed})"
+        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The discrete-event backend and run driver.
 //!
-//! [`SimBackend`] is the virtual-time [`Backend`]: a calendar-wheel
-//! [`EventQueue`], a vec of [`VirtualDevice`]s, the ping-based
+//! [`SimBackend`] is the virtual-time [`Backend`]: the workload's
+//! presorted arrival lane beside a calendar-wheel [`EventQueue`] of
+//! in-flight work, a vec of [`VirtualDevice`]s, the ping-based
 //! [`FailureDetector`] and the seeded latency RNG. [`Driver`] is the
 //! [`HomeRuntime`] over it — the same mediation layer the kasa real-time
 //! runner uses — reporting everything that happens to a pluggable
@@ -60,7 +61,8 @@ fn is_material(ev: &Ev) -> bool {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FunnelParent {
     /// Scheduled while the driver was being constructed — the `rank`-th
-    /// funnel call before the first pop (an absolute-arrival submission).
+    /// funnel entry before the first pop (an absolute-arrival submission,
+    /// logged in workload-index order as the lane takes it).
     Init {
         /// Construction-time call rank.
         rank: u32,
@@ -76,13 +78,15 @@ pub enum FunnelParent {
 }
 
 /// One record of the sub-run funnel log: every event a traced backend
-/// schedules through its `SimBackend::schedule` funnel, with the
-/// effective enqueue time (arrival clamped forward to the clock, exactly
-/// as the queue does) and the pop that caused it. Because the queue pops
-/// in (time, insertion) order and — on a failure-free, probe-free spec —
-/// every event passes through the funnel, a stable sort of the log by
-/// `t_eff` *is* the pop order, and the parent links let the intra-home
-/// merge reconstruct the sequential interleaving across clusters.
+/// takes on — each lane arrival at assembly, then everything scheduled
+/// through its `SimBackend::schedule` funnel — with the effective enqueue
+/// time (arrival clamped forward to the clock, exactly as the queue does)
+/// and the pop that caused it. The backend pops in (time, log position)
+/// order — the lane wins ties because its arrivals are logged first —
+/// and on a failure-free, probe-free spec every event is logged, so a
+/// stable sort of the log by `t_eff` *is* the pop order, and the parent
+/// links let the intra-home merge reconstruct the sequential
+/// interleaving across clusters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FunnelEntry {
     /// Effective enqueue time: `max(at, clock)`.
@@ -102,12 +106,17 @@ struct SubTrace {
     rank: u32,
 }
 
+/// A workload submission due at an instant: `(time, workload index)`.
+type Due = (Timestamp, usize);
+
 /// One recyclable bundle of per-home state: the event queue (its slab
-/// and bucket arrays), the virtual device vec (each device keeps its
-/// pending-dispatch deque), and the runtime's submission tables.
+/// and bucket arrays), the arrival lane, the virtual device vec (each
+/// device keeps its pending-dispatch deque), and the runtime's
+/// submission tables.
 #[derive(Default)]
 struct PooledHome {
     queue: EventQueue<Ev>,
+    arrivals: Vec<Due>,
     devices: Vec<VirtualDevice>,
     tables: HomeTables,
 }
@@ -132,6 +141,7 @@ fn pooled_home() -> PooledHome {
 
 fn recycle_home(mut home: PooledHome) {
     home.queue.clear();
+    home.arrivals.clear();
     HOME_POOL.with(|p| {
         let mut pool = p.borrow_mut();
         if pool.len() < HOME_POOL_CAP {
@@ -143,22 +153,40 @@ fn recycle_home(mut home: PooledHome) {
 /// The discrete-event [`Backend`]: virtual clock and devices.
 ///
 /// Owns everything timing- and I/O-shaped about a simulated run — the
-/// event queue, the virtual devices, the failure plan's injections, the
-/// probe loops and the latency RNG — and feeds the backend-independent
-/// [`RuntimeCore`] exactly the way the paper's emulation (§7.1) demands.
+/// workload's arrival schedule, the event queue, the virtual devices, the
+/// failure plan's injections, the probe loops and the latency RNG — and
+/// feeds the backend-independent [`RuntimeCore`] exactly the way the
+/// paper's emulation (§7.1) demands.
+///
+/// The workload's absolute arrivals never enter the queue. They sit in an
+/// **arrival lane**: `(time, index)` pairs stable-sorted by time once, at
+/// assembly, and consumed by a cursor. A poll takes the lane head when it
+/// is due no later than the queue's earliest event and pops the queue
+/// otherwise. The lane wins ties because arrivals are fixed at assembly,
+/// before anything is queued, and the backend pops equal instants in the
+/// order their events were scheduled. The queue holds only in-flight
+/// work: device I/O, engine timers, injections, probes and released
+/// `After` dependents.
 pub struct SimBackend<'a> {
     spec: &'a RunSpec,
     queue: EventQueue<Ev>,
+    /// The arrival lane, sorted by time (ties in workload-index order).
+    /// Each entry keeps its time inline: every poll and every
+    /// [`Self::next_event_at`] peeks at the head.
+    arrivals: Vec<Due>,
+    /// Index of the lane's next unconsumed arrival.
+    next_arrival: usize,
     devices: Vec<VirtualDevice>,
     detector: FailureDetector,
     rng: SimRng,
     latency: safehome_devices::LatencyModel,
-    /// Outstanding material (non-probe) events.
+    /// Outstanding material (non-probe) events in the queue; the lane's
+    /// unconsumed arrivals are counted by its cursor instead.
     material: usize,
     /// Outstanding material events that are *not* future workload
     /// submissions — device arrivals/completions, injections, engine
-    /// timers. Zero means the queue holds nothing but `Submit`s (plus
-    /// possibly immaterial probes): the world is at rest, and the
+    /// timers. Zero means the queue holds nothing but released `Submit`s
+    /// (plus possibly immaterial probes): the world is at rest, and the
     /// service runner may evict the home to a [`WorldSnapshot`].
     nonsubmit_material: usize,
     /// Funnel logging for intra-home sub-runs; `None` (the default)
@@ -167,10 +195,10 @@ pub struct SimBackend<'a> {
 }
 
 impl<'a> SimBackend<'a> {
-    /// A backend over a pooled bundle. The pooled queue comes back
-    /// cleared with its slab capacity, so a recycled home allocates no
-    /// queue storage until it holds more events at once than an earlier
-    /// home on this thread did.
+    /// A backend over a pooled bundle. The pooled queue and lane come
+    /// back cleared with their capacity, so a recycled home allocates no
+    /// queue or lane storage until it holds more than an earlier home on
+    /// this thread did.
     fn new(spec: &'a RunSpec, pooled: &mut PooledHome) -> Self {
         let n = spec.home.len();
         // Reuse pooled device slots in place (each keeps its pending
@@ -191,6 +219,8 @@ impl<'a> SimBackend<'a> {
         SimBackend {
             spec,
             queue: std::mem::take(&mut pooled.queue),
+            arrivals: std::mem::take(&mut pooled.arrivals),
+            next_arrival: 0,
             devices,
             detector: FailureDetector::new(n, spec.ping_interval, spec.detect_timeout),
             rng: SimRng::seed_from_u64(spec.seed),
@@ -213,9 +243,9 @@ impl<'a> SimBackend<'a> {
     }
 
     /// Schedules the failure plan's injections and the detector's probe
-    /// loops. Called *after* the runtime scheduled the workload, so
-    /// same-instant FIFO tie-breaks (submission before injection) match
-    /// the original driver event-for-event.
+    /// loops. Called *after* the runtime filled the arrival lane, which
+    /// wins same-instant ties, so a submission precedes an injection due
+    /// at the same instant.
     fn schedule_plan(&mut self) {
         let spec = self.spec;
         // Schedule ground-truth failures and the detector's probe loops.
@@ -250,6 +280,12 @@ impl<'a> SimBackend<'a> {
                 self.nonsubmit_material += 1;
             }
         }
+        self.log_funnel(at);
+        self.queue.schedule(at, ev);
+    }
+
+    /// Appends a traced backend's funnel entry for an event due at `at`.
+    fn log_funnel(&mut self, at: Timestamp) {
         if let Some(st) = self.subtrace.as_mut() {
             let parent = match st.current {
                 None => FunnelParent::Init { rank: st.rank },
@@ -261,7 +297,6 @@ impl<'a> SimBackend<'a> {
                 parent,
             });
         }
-        self.queue.schedule(at, ev);
     }
 
     /// Drains the funnel log of a traced backend (empty for untraced
@@ -273,76 +308,91 @@ impl<'a> SimBackend<'a> {
             .unwrap_or_default()
     }
 
-    /// Timestamp of the earliest pending simulation event, if any.
+    /// Timestamp of the earliest pending simulation event, if any: the
+    /// earlier of the lane's next arrival and the queue's earliest event.
     ///
     /// The resident service runner uses this to park a home between
     /// epochs: a home whose next event lies past the epoch boundary is
     /// re-queued on the timer wheel instead of being stepped. Peeking
-    /// never perturbs the queue, so slicing a run at arbitrary epoch
-    /// boundaries replays the exact event sequence of an unsliced run.
+    /// never perturbs the lane or the queue, so slicing a run at
+    /// arbitrary epoch boundaries replays the exact event sequence of an
+    /// unsliced run.
     pub fn next_event_at(&self) -> Option<Timestamp> {
-        self.queue.peek_time()
+        let queued = self.queue.peek_time();
+        match self.arrivals.get(self.next_arrival) {
+            Some(&(at, _)) => Some(queued.map_or(at, |q| q.min(at))),
+            None => queued,
+        }
     }
 
     /// `true` when every pending material event is a future workload
-    /// submission — no device I/O, injections or engine timers in
-    /// flight. Together with engine quiescence and an empty failure plan
-    /// (so no probe loops) this is the service runner's evictability
-    /// condition: the world then reduces to a [`WorldSnapshot`] — device
-    /// states, RNG position and the pending submissions — while the
-    /// controller stays whole in the runtime core.
+    /// submission — a lane arrival or a released dependent, with no device
+    /// I/O, injections or engine timers in flight. Together with engine
+    /// quiescence and an empty failure plan (so no probe loops) this is
+    /// the service runner's evictability condition: the world then reduces
+    /// to a [`WorldSnapshot`] — device states, RNG position, the lane and
+    /// the released dependents — while the controller stays whole in the
+    /// runtime core.
     pub fn only_submits_pending(&self) -> bool {
         self.nonsubmit_material == 0
     }
 
     /// Approximate heap bytes this backend pins while resident, in O(1):
     /// the event queue (two fixed bucket arrays plus a slab sized by the
-    /// most events it has held at once) and the device slots. An evicted
-    /// home keeps a [`WorldSnapshot`] instead.
+    /// most events it has held at once), the arrival lane and the device
+    /// slots. An evicted home keeps a [`WorldSnapshot`] instead.
     pub fn approx_resident_bytes(&self) -> usize {
-        self.queue.approx_bytes() + self.devices.capacity() * std::mem::size_of::<VirtualDevice>()
+        self.queue.approx_bytes()
+            + self.arrivals.capacity() * std::mem::size_of::<Due>()
+            + self.devices.capacity() * std::mem::size_of::<VirtualDevice>()
     }
 
     /// Tears a backend at rest down to its [`WorldSnapshot`], recycling
     /// the queue and device storage into the thread's home pool. The
-    /// pending `Submit` events are drained in pop order — time, then
-    /// insertion order — so [`Self::resurrect`] can re-schedule them in
-    /// that same order.
+    /// arrival lane moves into the snapshot whole, cursor and all, so
+    /// however many arrivals are still pending none of them is touched.
+    /// The queue is drained in pop order — time, then insertion order —
+    /// and at rest it holds only released `After` dependents, so
+    /// [`Self::resurrect`] can re-schedule them in that same order.
     ///
     /// Only sound at an eviction point: engine quiescent,
     /// [`Self::only_submits_pending`] and an empty failure plan. Any other
     /// pending event would be lost (debug builds assert there is none).
     pub fn into_world_snapshot(mut self) -> WorldSnapshot {
-        let mut submits = Vec::with_capacity(self.material);
+        let mut queued = Vec::with_capacity(self.material);
         while let Some((at, ev)) = self.queue.pop() {
             debug_assert!(
                 matches!(ev, Ev::Submit(_)),
                 "{ev:?} pending at an eviction point"
             );
             if let Ev::Submit(i) = ev {
-                submits.push((at, i));
+                queued.push((at, i));
             }
         }
         let device_states = self.devices.iter().map(VirtualDevice::state).collect();
         recycle_home(PooledHome {
             queue: std::mem::take(&mut self.queue),
+            arrivals: Vec::new(),
             devices: std::mem::take(&mut self.devices),
             tables: HomeTables::default(),
         });
         WorldSnapshot {
             device_states,
             rng: self.rng,
-            submits,
+            arrivals: std::mem::take(&mut self.arrivals),
+            next_arrival: self.next_arrival,
+            queued,
         }
     }
 
     /// Rebuilds a backend from a [`WorldSnapshot`]: pooled storage,
     /// device states forced back, the RNG resumed at its parked position,
-    /// and the drained submissions re-scheduled in their pop order. The
-    /// queue pops by time, then insertion order, so the rebuilt backend
-    /// pops those submissions exactly as the torn-down one would have;
-    /// with the home's own core ([`HomeRuntime::resume`]) the run
-    /// continues event-for-event as if it had never been evicted. The
+    /// the lane restored at its cursor, and the drained dependents
+    /// re-scheduled in their pop order. The queue pops by time, then
+    /// insertion order, and the lane still wins ties, so the rebuilt
+    /// backend pops every pending submission exactly as the torn-down one
+    /// would have; with the home's own core ([`HomeRuntime::resume`]) the
+    /// run continues event-for-event as if it had never been evicted. The
     /// failure plan is not re-injected because eviction requires an empty
     /// one. The clock reads zero until the first pop.
     pub fn resurrect(spec: &'a RunSpec, world: WorldSnapshot) -> Self {
@@ -352,7 +402,9 @@ impl<'a> SimBackend<'a> {
             slot.force_state(v);
         }
         backend.rng = world.rng;
-        for (at, i) in world.submits {
+        backend.arrivals = world.arrivals;
+        backend.next_arrival = world.next_arrival;
+        for (at, i) in world.queued {
             backend.schedule(at, Ev::Submit(i));
         }
         backend
@@ -361,15 +413,21 @@ impl<'a> SimBackend<'a> {
 
 /// What a simulated world at rest reduces to (see
 /// [`SimBackend::into_world_snapshot`]): device states, the latency RNG
-/// position and the pending workload submissions. The service runner
-/// parks one beside an evicted home's runtime core.
+/// position, the arrival lane with its cursor and the released `After`
+/// dependents the queue still held. The service runner parks one beside
+/// an evicted home's runtime core.
 pub struct WorldSnapshot {
     /// Per-device states, indexed by device id.
     device_states: Vec<Value>,
     /// The latency RNG, parked mid-stream.
     rng: SimRng,
-    /// Pending submissions as `(time, workload index)`, in pop order.
-    pub(crate) submits: Vec<(Timestamp, usize)>,
+    /// The backend's arrival lane, kept whole (see [`SimBackend`]).
+    arrivals: Vec<Due>,
+    /// Index of the lane's next unconsumed arrival.
+    next_arrival: usize,
+    /// Submissions drained from the queue — released `After` dependents —
+    /// as `(time, workload index)`, in pop order.
+    queued: Vec<Due>,
 }
 
 impl WorldSnapshot {
@@ -377,13 +435,43 @@ impl WorldSnapshot {
     pub(crate) fn approx_bytes(&self) -> usize {
         self.device_states.capacity() * std::mem::size_of::<Value>()
             + std::mem::size_of::<SimRng>()
-            + self.submits.capacity() * std::mem::size_of::<(Timestamp, usize)>()
+            + (self.arrivals.capacity() + self.queued.capacity()) * std::mem::size_of::<Due>()
+    }
+
+    /// The pending submissions: the lane's unconsumed arrivals and the
+    /// drained dependents, each in pop order.
+    #[cfg(test)]
+    pub(crate) fn pending(&self) -> (&[Due], &[Due]) {
+        (&self.arrivals[self.next_arrival..], &self.queued)
+    }
+
+    /// Takes every pending submission out of the snapshot — the lane's
+    /// unconsumed tail merged with the drained queue, the lane first at
+    /// an equal instant — in the order the backend would have popped
+    /// them.
+    #[cfg(test)]
+    pub(crate) fn take_pending_submits(&mut self) -> Vec<Due> {
+        let (lane, queued) = self.pending();
+        let mut merged = Vec::with_capacity(lane.len() + queued.len());
+        let (mut a, mut q) = (0, 0);
+        while a < lane.len() || q < queued.len() {
+            if q < queued.len() && (a == lane.len() || queued[q].0 < lane[a].0) {
+                merged.push(queued[q]);
+                q += 1;
+            } else {
+                merged.push(lane[a]);
+                a += 1;
+            }
+        }
+        self.next_arrival = self.arrivals.len();
+        self.queued.clear();
+        merged
     }
 }
 
 impl Backend for SimBackend<'_> {
     fn idle(&self) -> bool {
-        self.material == 0
+        self.material == 0 && self.next_arrival == self.arrivals.len()
     }
 
     fn now(&self) -> Timestamp {
@@ -403,25 +491,58 @@ impl Backend for SimBackend<'_> {
         self.schedule(at, Ev::Submit(index));
     }
 
+    /// Fills the arrival lane: one funnel entry per arrival in index
+    /// order (construction ranks), then a stable sort by time, skipped
+    /// when the workload already lists its arrivals in time order.
+    fn schedule_arrivals(&mut self, arrivals: impl Iterator<Item = (Timestamp, usize)>) {
+        debug_assert!(
+            self.arrivals.is_empty() && self.queue.is_empty(),
+            "arrivals are handed over first, once"
+        );
+        for (at, index) in arrivals {
+            self.log_funnel(at);
+            self.arrivals.push((at, index));
+        }
+        if !self.arrivals.is_sorted_by_key(|&(at, _)| at) {
+            self.arrivals.sort_by_key(|&(at, _)| at);
+        }
+    }
+
     fn poll<S: TraceSink>(&mut self, core: &mut RuntimeCore<'_, S>) -> Polled {
-        let Some((now, ev)) = self.queue.pop() else {
-            return Polled::Exhausted;
+        // Decide on the earliest pending instant and consume nothing past
+        // the horizon: a caller extending it via `set_horizon` resumes in
+        // exactly the order an unstalled run pops.
+        let horizon = core.horizon();
+        let lane = self.arrivals.get(self.next_arrival).copied();
+        // A queued event goes first only when it is due strictly before
+        // the lane head: the lane wins ties (see the type's docs).
+        let queue_limit = match lane {
+            Some((at, _)) => at
+                .as_millis()
+                .checked_sub(1)
+                .map(|ms| horizon.min(Timestamp::from_millis(ms))),
+            None => Some(horizon),
         };
-        if now > core.horizon() {
-            // Put the unconsumed event back (its material count was never
-            // decremented), so backend state stays consistent and a
-            // caller extending the horizon via `set_horizon` resumes
-            // instead of silently losing this event. The stalled run
-            // records nothing further, so the event stream is unchanged.
-            self.queue.schedule(now, ev);
-            return Polled::PastHorizon;
-        }
-        if is_material(&ev) {
-            self.material -= 1;
-            if !matches!(ev, Ev::Submit(_)) {
-                self.nonsubmit_material -= 1;
+        let queued = queue_limit.and_then(|limit| self.queue.pop_due(limit));
+        let (now, ev) = match (queued, lane) {
+            (Some((now, ev)), _) => {
+                if is_material(&ev) {
+                    self.material -= 1;
+                    if !matches!(ev, Ev::Submit(_)) {
+                        self.nonsubmit_material -= 1;
+                    }
+                }
+                (now, ev)
             }
-        }
+            (None, Some((at, index))) if at <= horizon => {
+                self.next_arrival += 1;
+                let advanced = self.queue.advance_to(at);
+                debug_assert!(advanced, "an arrival popped behind a queued event");
+                (at, Ev::Submit(index))
+            }
+            (None, None) if self.queue.is_empty() => return Polled::Exhausted,
+            (None, _) => return Polled::PastHorizon,
+        };
         if let Some(st) = self.subtrace.as_mut() {
             st.current = Some(st.pops);
             st.pops += 1;
@@ -530,6 +651,7 @@ impl Backend for SimBackend<'_> {
     fn reclaim(&mut self, tables: HomeTables) {
         recycle_home(PooledHome {
             queue: std::mem::take(&mut self.queue),
+            arrivals: std::mem::take(&mut self.arrivals),
             devices: std::mem::take(&mut self.devices),
             tables,
         });
@@ -539,8 +661,9 @@ impl Backend for SimBackend<'_> {
 /// A stepped simulation driver over one [`RunSpec`]: the [`HomeRuntime`]
 /// bound to the discrete-event [`SimBackend`].
 ///
-/// Construction schedules the workload, failure plan and detector probe
-/// loops; each [`HomeRuntime::step`] pops and processes one event. The
+/// Construction fills the arrival lane and schedules the failure plan and
+/// detector probe loops; each [`HomeRuntime::step`] takes and processes
+/// one event. The
 /// driver is deterministic: equal specs (including the seed) produce
 /// identical event streams regardless of how stepping is interleaved
 /// with inspection.
@@ -633,8 +756,9 @@ impl<'a, S: TraceSink> Driver<'a, S> {
             backend,
             journal,
         );
-        // Workload first, then injections and probes: same-instant FIFO
-        // tie-breaks must match the pre-refactor driver exactly.
+        // Workload first, then injections and probes: the lane wins
+        // same-instant ties, so an arrival precedes an injection due at
+        // the same instant.
         driver.backend_mut().schedule_plan();
         driver
     }
@@ -1089,6 +1213,169 @@ mod tests {
                 "EV must serialize: {states:?} (seed {seed})"
             );
         }
+    }
+
+    /// A one-command routine named after its workload index.
+    fn named_routine(index: usize, device: u32) -> Routine {
+        Routine::builder(format!("s{index}"))
+            .set(d(device), Value::ON, TimeDelta::from_millis(50))
+            .build()
+    }
+
+    /// Workload indices in the order the run submitted them.
+    fn submitted_indices(trace: &Trace) -> Vec<usize> {
+        trace
+            .records
+            .values()
+            .map(|r| r.routine.name[1..].parse().expect("named_routine"))
+            .collect()
+    }
+
+    /// Runs `spec` under a 5 s horizon until it stalls, extends the
+    /// horizon past the workload and finishes; returns the counters of
+    /// that run and of one that ran under the wide horizon throughout.
+    fn stalled_and_straight(spec: &mut RunSpec) -> (RunCounters, RunCounters) {
+        let wide = Timestamp::from_secs(3_600);
+        spec.max_time = wide;
+        let mut straight = Driver::with_sink(spec, RunCounters::new());
+        assert!(straight.run_to_quiescence());
+        let (straight, _, _) = straight.into_output();
+        spec.max_time = Timestamp::from_secs(5);
+        let mut stalled = Driver::with_sink(spec, RunCounters::new());
+        assert!(!stalled.run_to_quiescence(), "the short horizon stalls");
+        stalled.set_horizon(wide);
+        assert!(stalled.run_to_quiescence(), "the wide horizon finishes");
+        let (resumed, _, _) = stalled.into_output();
+        (resumed, straight)
+    }
+
+    #[test]
+    fn extending_a_stalled_horizon_resumes_in_order() {
+        // Two arrivals due together past a 5 s horizon: the stall must
+        // consume neither, so the resumed run submits them in index order.
+        let mut spec = RunSpec::new(plug_home(2), EngineConfig::new(VisibilityModel::ev()));
+        for i in 0..2 {
+            spec.submit(Submission::at(
+                named_routine(i, i as u32),
+                Timestamp::from_secs(10),
+            ));
+        }
+        let (resumed, straight) = stalled_and_straight(&mut spec);
+        assert_eq!(resumed.committed, 2);
+        assert_eq!(resumed, straight, "arrivals past the horizon");
+
+        // Two `After` dependents released at one instant past the horizon
+        // sit in the queue, not the lane; the stall must keep their order.
+        let mut spec = RunSpec::new(plug_home(3), EngineConfig::new(VisibilityModel::ev()));
+        let first = spec.submit(Submission::at(named_routine(0, 0), Timestamp::ZERO));
+        for i in 1..3 {
+            spec.submit(Submission::after(
+                named_routine(i, i as u32),
+                first,
+                TimeDelta::from_secs(10),
+            ));
+        }
+        let (resumed, straight) = stalled_and_straight(&mut spec);
+        assert_eq!(resumed.committed, 3);
+        assert_eq!(resumed, straight, "released dependents past the horizon");
+    }
+
+    #[test]
+    fn arrival_lane_submits_by_time_then_index_ahead_of_queued_events() {
+        // 48 arrivals listed out of time order over four instants (so
+        // many tie), plus an `After` dependent released into the queue at
+        // one of those instants. Fixed latency makes every time exact.
+        let mut spec = RunSpec::new(plug_home(5), EngineConfig::new(VisibilityModel::ev()));
+        spec.latency = safehome_devices::LatencyModel::Fixed(TimeDelta::from_millis(25));
+        let mut x = 0x1A7E_u64;
+        let mut arrivals = Vec::new();
+        for i in 0..48 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let at = Timestamp::from_millis(100 * (1 + (x >> 33) % 4));
+            arrivals.push((
+                at,
+                spec.submit(Submission::at(named_routine(i, (i % 4) as u32), at)),
+            ));
+        }
+        // Device 4 is the predecessor's alone: submitted at 50 ms, it
+        // commits at 50 + 25 (latency) + 50 (actuation) = 125 ms, and the
+        // dependent comes due with the 300 ms arrivals.
+        let pred = spec.submit(Submission::at(
+            named_routine(48, 4),
+            Timestamp::from_millis(50),
+        ));
+        arrivals.push((Timestamp::from_millis(50), pred));
+        let dep = spec.submit(Submission::after(
+            named_routine(49, 4),
+            pred,
+            TimeDelta::from_millis(175),
+        ));
+        assert!(
+            !arrivals.is_sorted_by_key(|&(at, _)| at),
+            "the workload lists its arrivals out of time order"
+        );
+
+        let out = run(&spec);
+        assert!(out.completed);
+        let dep_record = out
+            .trace
+            .records
+            .values()
+            .find(|r| r.routine.name == "s49")
+            .expect("the dependent ran");
+        let tie = Timestamp::from_millis(300);
+        assert_eq!(
+            dep_record.submitted, tie,
+            "the dependent ties with arrivals"
+        );
+
+        let mut want = arrivals;
+        want.sort_by_key(|&(at, _)| at); // stable: index order among ties
+        let after_tie = want.partition_point(|&(at, _)| at <= tie);
+        want.insert(after_tie, (tie, dep));
+        let want: Vec<usize> = want.into_iter().map(|(_, i)| i).collect();
+        assert_eq!(submitted_indices(&out.trace), want);
+    }
+
+    #[test]
+    fn evicting_an_unstepped_home_drains_nothing() {
+        let mut spec =
+            RunSpec::new(plug_home(3), EngineConfig::new(VisibilityModel::ev())).with_seed(5);
+        for (i, at) in [900u64, 300, 600, 300].into_iter().enumerate() {
+            spec.submit(Submission::at(
+                named_routine(i, i as u32 % 3),
+                Timestamp::from_secs(at),
+            ));
+        }
+        let want = run(&spec);
+
+        let driver = Driver::new(&spec);
+        assert!(
+            driver.backend().queue.is_empty(),
+            "absolute arrivals stay out of the queue"
+        );
+        assert_eq!(
+            driver.backend().next_event_at(),
+            Some(Timestamp::from_secs(300))
+        );
+        let HomeRuntime { core, backend } = driver;
+        let world = backend.into_world_snapshot();
+        let (lane, queued) = world.pending();
+        assert!(queued.is_empty(), "eviction popped no event");
+        let lane: Vec<usize> = lane.iter().map(|&(_, i)| i).collect();
+        assert_eq!(
+            lane,
+            [1, 3, 2, 0],
+            "the lane moved over whole, in pop order"
+        );
+
+        let mut resumed = HomeRuntime::resume(core, SimBackend::resurrect(&spec, world));
+        assert!(resumed.run_to_quiescence());
+        let (trace, committed, _) = resumed.into_output();
+        assert_eq!(trace, want.trace);
+        assert_eq!(committed, want.committed_states);
     }
 
     #[test]

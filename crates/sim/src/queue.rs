@@ -2,9 +2,13 @@
 //!
 //! Implemented as a bucketed calendar queue (hierarchical timing wheel):
 //! a near-future wheel of per-millisecond FIFO buckets, a coarse second
-//! level whose buckets each span a full first-level period (giving an
-//! hours-long O(1) horizon for open-loop arrival schedules), and a
-//! sorted overflow level for events beyond both. The discrete-event hot
+//! level whose buckets each span a full first-level period (an
+//! hours-long O(1) horizon for the service runner's shared wheel, which
+//! parks homes tens of minutes ahead, and for a home's long timers such
+//! as minutes-long actuations), and a sorted overflow level for events
+//! beyond both. A home's workload arrivals never enter its queue: the
+//! harness keeps them in a presorted lane beside it and moves the clock
+//! over them with [`EventQueue::advance_to`]. The discrete-event hot
 //! loop (`safehome-harness`) pops and schedules millions of events per
 //! second, and the wheel turns both operations into O(1) list
 //! pushes/pops with no per-event comparisons — the previous inverted
@@ -40,8 +44,8 @@ const WORDS: usize = WHEEL / 64;
 /// coarse bucket refills the near wheel exactly.
 const L2_SHIFT: u32 = WHEEL.trailing_zeros();
 /// Second-level width in coarse buckets. With `WHEEL`-ms buckets this
-/// spans [`L2_SPAN`] ≈ 4.66 h — enough for a diurnal open-loop arrival
-/// schedule to stay off the sorted overflow map.
+/// spans [`L2_SPAN`] ≈ 4.66 h — enough for hour-scale parking on the
+/// service runner's wheel to stay off the sorted overflow map.
 const L2_BUCKETS: usize = 4096;
 const L2_IDX_MASK: u64 = (L2_BUCKETS as u64) - 1;
 const L2_WORDS: usize = L2_BUCKETS / 64;
@@ -195,8 +199,10 @@ fn next_occupied_bit(occupied: &[u64], from: usize) -> Option<usize> {
 ///
 /// Events pop in non-decreasing timestamp order; events scheduled for the
 /// same instant pop in insertion order. Popping advances the queue's
-/// clock, and scheduling an event in the past is clamped to `now` (this
-/// matches how an edge hub would process a backlog: never before now).
+/// clock, and so does [`EventQueue::advance_to`] for a caller that
+/// consumed an event from its own source; scheduling an event in the
+/// past is clamped to `now` (this matches how an edge hub would process
+/// a backlog: never before now).
 ///
 /// # Structure
 ///
@@ -239,8 +245,8 @@ fn next_occupied_bit(occupied: &[u64], from: usize) -> Option<usize> {
 ///   bouncing through the outer levels;
 /// - when a schedule finds the second level empty and its event past
 ///   `wheel_limit`, it re-anchors the second-level window at
-///   `wheel_limit` (aligned down to the period), so hours-long arrival
-///   schedules land in O(1) coarse buckets instead of the `BTreeMap`.
+///   `wheel_limit` (aligned down to the period), so events parked hours
+///   ahead land in O(1) coarse buckets instead of the `BTreeMap`.
 ///
 /// A bucket is two `u32` slab indices (8 B), so the fixed cost is the
 /// two bucket arrays (32 KiB each, the second only once used) and the
@@ -478,6 +484,44 @@ impl<E> EventQueue<E> {
         let b = self
             .next_occupied(from)
             .expect("len > 0 and wheel non-empty after rebase");
+        Some(self.pop_bucket(b, from))
+    }
+
+    /// Pops the next event only if it is due at or before `limit`. A later
+    /// event stays pending and the clock does not move, so a caller can
+    /// decide on the earliest instant without consuming past it.
+    pub fn pop_due(&mut self, limit: Timestamp) -> Option<(Timestamp, E)> {
+        if self.wheel_len == 0 {
+            // The earliest event, if any, is parked in an outer level; a
+            // rebase must not run unless the pop does.
+            return if self.peek_time()? <= limit {
+                self.pop()
+            } else {
+                None
+            };
+        }
+        let from = self.window_start.max(self.now.as_millis());
+        let b = self.next_occupied(from).expect("wheel_len > 0");
+        let at = from + ((b as u64).wrapping_sub(from) & WHEEL_MASK);
+        (at <= limit.as_millis()).then(|| self.pop_bucket(b, from))
+    }
+
+    /// Moves the clock forward to `t` without popping, exactly as popping
+    /// an event due at `t` would: later schedules clamp to it. Returns
+    /// `false` and changes nothing when an event is pending before `t`,
+    /// since the clock must never pass a pending event. A `t` before the
+    /// clock leaves the clock where it is.
+    pub fn advance_to(&mut self, t: Timestamp) -> bool {
+        if self.peek_time().is_some_and(|next| next < t) {
+            return false;
+        }
+        self.now = self.now.max(t);
+        true
+    }
+
+    /// Unlinks the front entry of wheel bucket `b`, the earliest occupied
+    /// bucket at or after instant `from`, and advances the clock to it.
+    fn pop_bucket(&mut self, b: usize, from: u64) -> (Timestamp, E) {
         let idx = self.buckets[b].pop(&self.slab).expect("occupied bit set");
         if self.buckets[b].is_empty() {
             self.occupied[b / 64] &= !(1 << (b % 64));
@@ -494,7 +538,7 @@ impl<E> EventQueue<E> {
         );
         debug_assert!(at >= self.now.as_millis(), "virtual time went backwards");
         self.now = Timestamp::from_millis(at);
-        Some((self.now, payload))
+        (self.now, payload)
     }
 
     /// Timestamp of the next pending event without popping it.
@@ -681,6 +725,31 @@ mod tests {
         );
         assert_eq!(q.pop(), Some((t(100), "third")));
         assert_eq!(q.now(), t(100));
+    }
+
+    #[test]
+    fn pop_due_and_advance_to_stop_at_the_next_pending_event() {
+        let mut q = EventQueue::new();
+        let far = WHEEL as u64 * 3; // parked on the second level
+        q.schedule(t(far), "far");
+        assert_eq!(q.pop_due(t(far - 1)), None, "not due yet");
+        assert!(!q.advance_to(t(far + 1)), "would pass the pending event");
+        assert_eq!(q.now(), Timestamp::ZERO, "a refusal moves nothing");
+        assert!(q.advance_to(t(far)), "up to the pending instant is fine");
+        assert!(q.advance_to(t(5)), "an earlier target is a no-op");
+        assert_eq!(q.now(), t(far));
+        // Schedules now clamp to the advanced clock and queue behind the
+        // event already due there, as after a pop at `far`.
+        q.schedule(t(10), "clamped");
+        assert_eq!(q.pop_due(t(far)), Some((t(far), "far")));
+        assert_eq!(q.pop_due(t(far)), Some((t(far), "clamped")));
+        assert_eq!(q.pop_due(t(u64::MAX)), None, "drained");
+        assert!(
+            q.advance_to(t(far * 10)),
+            "an empty queue lets the clock go"
+        );
+        q.schedule(t(far * 10 + 1), "after");
+        assert_eq!(q.pop(), Some((t(far * 10 + 1), "after")));
     }
 
     #[test]

@@ -11,7 +11,11 @@
 //! naive reference that literally is the old heap, and checks the two
 //! produce identical `(at, payload)` pop streams, clocks, peeks and
 //! lengths at every step. The clears exercise the slab's reuse: slots
-//! freed by pops and by a reset are relinked by later schedules.
+//! freed by pops and by a reset are relinked by later schedules. The mix
+//! also holds the two calls a caller with its own event source makes:
+//! `pop_due` (pop only if due by a limit) and `advance_to` (move the
+//! clock over an event consumed elsewhere, refused past a pending one),
+//! whose clock moves must leave later clamps and pops unchanged.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -80,6 +84,22 @@ impl HeapQueue {
         self.heap.peek().map(|e| e.at)
     }
 
+    fn pop_due(&mut self, limit: Timestamp) -> Option<(Timestamp, u32)> {
+        if self.peek_time()? <= limit {
+            self.pop()
+        } else {
+            None
+        }
+    }
+
+    fn advance_to(&mut self, t: Timestamp) -> bool {
+        if self.peek_time().is_some_and(|next| next < t) {
+            return false;
+        }
+        self.now = self.now.max(t);
+        true
+    }
+
     fn clear(&mut self) {
         self.heap.clear();
         self.now = Timestamp::ZERO;
@@ -87,9 +107,9 @@ impl HeapQueue {
 }
 
 /// One scripted operation: `kind` picks schedule (about half the time),
-/// pop or — one kind in 50 — clear. Offsets are interpreted relative to
-/// the queue's clock so clamping and horizon crossings happen throughout
-/// the run, not only at the start.
+/// pop, `pop_due`, `advance_to` or — one kind in 50 — clear. Offsets are
+/// interpreted relative to the queue's clock so clamping and horizon
+/// crossings happen throughout the run, not only at the start.
 fn apply_ops(ops: &[(u8, u16)]) -> Result<(), String> {
     let mut wheel = EventQueue::new();
     let mut heap = HeapQueue::new();
@@ -121,6 +141,33 @@ fn apply_ops(ops: &[(u8, u16)]) -> Result<(), String> {
                 payload += 1;
                 wheel.schedule(at, payload);
                 heap.schedule(at, payload);
+            }
+            // Limits and clock targets around the next pending instant:
+            // exactly at it (a pop or an advance that must go through),
+            // just before it, between it and the clock, far ahead (usually
+            // refused) or behind the clock (an advance that must not move
+            // it back).
+            3 if raw % 3 != 0 => {
+                let now = heap.now.as_millis();
+                let v = raw as u64 >> 2;
+                let next = heap.peek_time().map_or(now + v, Timestamp::as_millis);
+                let t = Timestamp::from_millis(match v % 5 {
+                    0 => next,
+                    1 => next.saturating_sub(1).max(now),
+                    2 => now + (next - now) / 2,
+                    3 => now + v * 7_919,
+                    _ => now.saturating_sub(v),
+                });
+                if raw % 3 == 1 {
+                    prop_assert_eq!(wheel.pop_due(t), heap.pop_due(t), "pop_due diverged");
+                } else {
+                    prop_assert_eq!(
+                        wheel.advance_to(t),
+                        heap.advance_to(t),
+                        "advance_to verdicts diverged"
+                    );
+                }
+                prop_assert_eq!(wheel.now(), heap.now, "clocks diverged");
             }
             _ => {
                 prop_assert_eq!(
