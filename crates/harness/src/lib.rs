@@ -23,9 +23,9 @@
 //! in epoch slices popped from one shared timer wheel, optionally
 //! evicting cold homes down to their runtime core and a world snapshot.
 //!
-//! Pre-run validation: [`sim::Driver::with_sink_checked`] and
-//! [`fleet::run_fleet_gated`] accept a caller-supplied gate that inspects
-//! each [`RunSpec`] before anything executes (the canonical gate is
+//! Pre-run validation: [`fleet::run_fleet_gated`] accepts a
+//! caller-supplied gate that inspects each [`RunSpec`] before anything
+//! executes (the canonical gate is
 //! `safehome-lint`'s Error-severity check, which lives above this crate
 //! in the dependency graph). Gating never perturbs an accepted run.
 //!

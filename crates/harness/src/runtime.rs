@@ -720,23 +720,12 @@ pub struct HomeRuntime<'a, B: Backend, S: TraceSink> {
 impl<'a, B: Backend, S: TraceSink> HomeRuntime<'a, B, S> {
     /// Assembles a runtime from its parts and registers the workload's
     /// arrivals with the backend. `tables` usually come from a pool
-    /// (reset here); pass `HomeTables::new()` otherwise.
+    /// (reset here); pass `HomeTables::new()` otherwise. `journal` is an
+    /// optional journal hook ([`JournalWriter::record`] for a durable live
+    /// run). Journaling is opt-in and invisible to the sink: the recorded
+    /// event stream — and therefore the per-home digests — is identical
+    /// with or without it.
     pub fn assemble(
-        engine: Engine,
-        sink: S,
-        workload: &'a [Submission],
-        horizon: Timestamp,
-        tables: HomeTables,
-        backend: B,
-    ) -> Self {
-        Self::assemble_journaled(engine, sink, workload, horizon, tables, backend, None)
-    }
-
-    /// As [`HomeRuntime::assemble`], with an optional journal hook
-    /// ([`JournalWriter::record`] for a durable live run). Journaling is
-    /// opt-in and invisible to the sink: the recorded event stream — and
-    /// therefore the per-home digests — is identical with or without it.
-    pub fn assemble_journaled(
         engine: Engine,
         sink: S,
         workload: &'a [Submission],
@@ -806,7 +795,7 @@ impl<'a, B: Backend, S: TraceSink> HomeRuntime<'a, B, S> {
         let writer = self
             .core
             .journal
-            .expect("crash() requires a journaling runtime (assemble_journaled)");
+            .expect("crash() requires a runtime assembled with a journal");
         (writer.into_journal(), self.backend)
     }
 

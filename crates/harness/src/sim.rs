@@ -109,9 +109,9 @@ struct SubTrace {
 /// A workload submission due at an instant: `(time, workload index)`.
 type Due = (Timestamp, usize);
 
-/// One recyclable bundle of per-home state: the event queue (its slab
-/// and bucket arrays), the arrival lane, the virtual device vec (each
-/// device keeps its pending-dispatch deque), and the runtime's
+/// One recyclable bundle of per-home state: the event queue (its slab,
+/// bucket array and far heap), the arrival lane, the virtual device vec
+/// (each device keeps its pending-dispatch deque), and the runtime's
 /// submission tables.
 #[derive(Default)]
 struct PooledHome {
@@ -338,9 +338,10 @@ impl<'a> SimBackend<'a> {
     }
 
     /// Approximate heap bytes this backend pins while resident, in O(1):
-    /// the event queue (two fixed bucket arrays plus a slab sized by the
-    /// most events it has held at once), the arrival lane and the device
-    /// slots. An evicted home keeps a [`WorldSnapshot`] instead.
+    /// the event queue (one fixed bucket array plus a slab and a far heap
+    /// sized by the most events it has held at once), the arrival lane
+    /// and the device slots. An evicted home keeps a [`WorldSnapshot`]
+    /// instead.
     pub fn approx_resident_bytes(&self) -> usize {
         self.queue.approx_bytes()
             + self.arrivals.capacity() * std::mem::size_of::<Due>()
@@ -689,23 +690,6 @@ impl<'a, S: TraceSink> Driver<'a, S> {
         Self::build(spec, sink, None)
     }
 
-    /// [`Driver::with_sink`] behind a pre-run spec gate: `gate` inspects
-    /// the spec *before* any state is built, and a rejection (`Err`)
-    /// means no driver — nothing is scheduled, no RNG is drawn, no pooled
-    /// state is touched. The canonical gate is `safehome-lint`'s
-    /// Error-severity check (`lint::check`), but any validation fits; the
-    /// harness stays lint-agnostic because the lint crate sits *above* it
-    /// in the dependency graph. Gating never perturbs execution: an
-    /// accepted spec runs event-for-event identically to
-    /// [`Driver::with_sink`].
-    pub fn with_sink_checked<G>(spec: &'a RunSpec, sink: S, gate: G) -> Result<Self, String>
-    where
-        G: FnOnce(&RunSpec) -> Result<(), String>,
-    {
-        gate(spec)?;
-        Ok(Self::build(spec, sink, None))
-    }
-
     /// A driver that additionally records a durable execution journal
     /// (see [`crate::journal`]). Journaling never touches the sink, so
     /// the event stream — and the per-home digest — is identical to
@@ -747,7 +731,7 @@ impl<'a, S: TraceSink> Driver<'a, S> {
             backend.subtrace = Some(SubTrace::default());
         }
         let engine = Engine::new(spec.config.clone(), &spec.home.initial_states());
-        let mut driver = HomeRuntime::assemble_journaled(
+        let mut driver = HomeRuntime::assemble(
             engine,
             sink,
             &spec.submissions,
@@ -933,43 +917,6 @@ mod tests {
         assert_eq!(committed, full.committed_states);
         // End-state congruence holds for EV outside the failed device.
         assert!(counters.congruent);
-    }
-
-    #[test]
-    fn checked_driver_gates_before_building_and_matches_unchecked() {
-        let mk = || {
-            let mut spec =
-                RunSpec::new(plug_home(3), EngineConfig::new(VisibilityModel::ev())).with_seed(7);
-            spec.submit(Submission::at(
-                simple_routine(&[0, 1, 2], Value::ON),
-                Timestamp::ZERO,
-            ));
-            spec
-        };
-        // A rejecting gate yields no driver at all.
-        let spec = mk();
-        let gated =
-            Driver::with_sink_checked(&spec, Trace::new(spec.home.initial_states()), |_| {
-                Err("nope".into())
-            });
-        match gated {
-            Err(err) => assert_eq!(err, "nope"),
-            Ok(_) => panic!("gate must reject"),
-        }
-        // An accepting gate runs event-for-event like the plain driver.
-        let plain = run(&mk());
-        let spec = mk();
-        let mut driver =
-            Driver::with_sink_checked(&spec, Trace::new(spec.home.initial_states()), |s| {
-                assert_eq!(s.submissions.len(), 1);
-                Ok(())
-            })
-            .expect("gate accepts");
-        driver.run_to_quiescence();
-        let (trace, committed, completed) = driver.into_output();
-        assert!(completed);
-        assert_eq!(trace, plain.trace);
-        assert_eq!(committed, plain.committed_states);
     }
 
     #[test]

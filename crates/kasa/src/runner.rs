@@ -394,7 +394,7 @@ impl<'a, S: TraceSink> RealTimeRunner<'a, S> {
         let sink = sink_from(&initial);
         let engine = Engine::new(config, &initial);
         Ok(RealTimeRunner {
-            rt: HomeRuntime::assemble_journaled(
+            rt: HomeRuntime::assemble(
                 engine,
                 sink,
                 workload,

@@ -28,13 +28,13 @@
 //! Entry points: [`analyze`] / [`analyze_spec`] return the full
 //! [`LintReport`]; [`check`] is the harness gate (`Err` on any
 //! Error-severity diagnostic) for
-//! `safehome_harness::sim::Driver::with_sink_checked`,
 //! `safehome_harness::fleet::run_fleet_gated` and the intra-home
-//! [`cluster::plan`]. The gate runs footprints plus the rule catalog
-//! only, never windows or conflict pairs, so its cost is linear in the
-//! spec's commands. The prediction evaluates all n(n−1)/2 submission
-//! pairs (18M for a 6,000-routine workshop, ~2.1M of them kept) and
-//! runs only for callers that read the [`LintReport`]. Linting a spec never
+//! [`cluster::plan`]; a single home is gated by calling it before
+//! `safehome_harness::sim::Driver::with_sink`. The gate runs footprints
+//! plus the rule catalog only, never windows or conflict pairs, so its
+//! cost is linear in the spec's commands. The prediction evaluates all
+//! n(n−1)/2 submission pairs (18M for a 6,000-routine workshop, ~2.1M of
+//! them kept) and runs only for callers that read the [`LintReport`]. Linting a spec never
 //! perturbs its execution: gates only read the spec, so per-home digests
 //! are byte-identical with and without the lint hook.
 

@@ -1,29 +1,28 @@
 //! Virtual-time event queue.
 //!
-//! Implemented as a bucketed calendar queue (hierarchical timing wheel):
-//! a near-future wheel of per-millisecond FIFO buckets, a coarse second
-//! level whose buckets each span a full first-level period (an
-//! hours-long O(1) horizon for the service runner's shared wheel, which
-//! parks homes tens of minutes ahead, and for a home's long timers such
-//! as minutes-long actuations), and a sorted overflow level for events
-//! beyond both. A home's workload arrivals never enter its queue: the
-//! harness keeps them in a presorted lane beside it and moves the clock
-//! over them with [`EventQueue::advance_to`]. The discrete-event hot
-//! loop (`safehome-harness`) pops and schedules millions of events per
-//! second, and the wheel turns both operations into O(1) list
-//! pushes/pops with no per-event comparisons — the previous inverted
-//! `BinaryHeap` paid O(log n) sift costs and a comparator call per level
-//! on exactly that path. The pop-order contract is unchanged (see
-//! [`EventQueue`]).
+//! A hashed timing wheel over an overflow heap (Varghese & Lauck,
+//! "Hashed and Hierarchical Timing Wheels", SOSP 1987): a near wheel of
+//! per-millisecond FIFO buckets covers the `WHEEL` ms from the clock on,
+//! and one binary heap holds every later event. A home's queue holds
+//! only in-flight work (device I/O, probe re-arms, engine timers and
+//! released dependents), since the harness keeps the workload's arrivals
+//! in a presorted lane beside it and moves the clock over them with
+//! [`EventQueue::advance_to`]. Nearly all of that work is due within a
+//! few seconds, so the discrete-event hot loop (`safehome-harness`)
+//! schedules and pops it with O(1) list operations and no comparisons;
+//! the heap takes long timers and the service runner's shared wheel,
+//! which parks homes minutes to hours ahead. The pop-order contract is
+//! that of a heap over (time, insertion order) (see [`EventQueue`]).
 //!
-//! Storage is one slab `Vec` of entries per queue. Every bucket, at every
-//! level, is an intrusive FIFO list of slab indices threaded through the
-//! entries' `next` links, and freed entries form a free list through the
-//! same links. A bucket costs 8 B whether or not the run ever used it, so
-//! a queue's memory follows the peak number of live events, not the
-//! number of instants it has touched.
+//! Storage is one slab `Vec` of entries per queue. Every bucket is an
+//! intrusive FIFO list of slab indices threaded through the entries'
+//! `next` links, and freed entries form a free list through the same
+//! links. A bucket costs 8 B whether or not the run ever used it, so a
+//! queue's memory is one bucket array plus what follows the peak number
+//! of live events, not the number of instants it has touched.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use safehome_types::Timestamp;
 
@@ -39,25 +38,12 @@ const WHEEL_MASK: u64 = (WHEEL as u64) - 1;
 /// Occupancy-bitmap words for the wheel.
 const WORDS: usize = WHEEL / 64;
 
-/// log2 of the first-level period: each second-level bucket covers one
-/// full first-level wheel period (`WHEEL` ms), so draining a single
-/// coarse bucket refills the near wheel exactly.
-const L2_SHIFT: u32 = WHEEL.trailing_zeros();
-/// Second-level width in coarse buckets. With `WHEEL`-ms buckets this
-/// spans [`L2_SPAN`] ≈ 4.66 h — enough for hour-scale parking on the
-/// service runner's wheel to stay off the sorted overflow map.
-const L2_BUCKETS: usize = 4096;
-const L2_IDX_MASK: u64 = (L2_BUCKETS as u64) - 1;
-const L2_WORDS: usize = L2_BUCKETS / 64;
-/// Milliseconds covered by a full second-level rotation.
-const L2_SPAN: u64 = (L2_BUCKETS as u64) << L2_SHIFT;
-
 /// Null slab index: ends a list and marks an empty one.
 const NIL: u32 = u32::MAX;
 
 /// One slab slot. A pending event (`payload` is `Some`) sits in exactly
-/// one bucket list; a freed slot (`payload` is `None`, so it keeps no
-/// payload alive) sits on the free list. Both lists link through `next`.
+/// one bucket list or far-heap key; a freed slot (`payload` is `None`,
+/// so it keeps no payload alive) sits on the free list.
 struct Entry<E> {
     /// Due instant in milliseconds, already clamped to the clock.
     at: u64,
@@ -94,105 +80,21 @@ impl Fifo {
         self.tail = idx;
     }
 
-    /// Unlinks the front entry and returns its index.
-    fn pop<E>(&mut self, slab: &[Entry<E>]) -> Option<u32> {
+    /// Unlinks the front entry of a non-empty list and returns its index.
+    fn pop<E>(&mut self, slab: &[Entry<E>]) -> u32 {
         let idx = self.head;
-        if idx == NIL {
-            return None;
-        }
         self.head = slab[idx as usize].next;
-        Some(idx)
-    }
-
-    /// Slab indices front to back.
-    fn iter<E>(self, slab: &[Entry<E>]) -> impl Iterator<Item = u32> + '_ {
-        std::iter::successors((self.head != NIL).then_some(self.head), move |&i| {
-            Some(slab[i as usize].next).filter(|&n| n != NIL)
-        })
+        idx
     }
 }
 
-/// Coarse second wheel level. Each bucket lists the entries for one
-/// `WHEEL`-ms span **in insertion order** (a coarse bucket mixes
-/// instants; time order is restored when the bucket is drained into the
-/// per-millisecond first level, which keeps same-instant FIFO because the
-/// drain preserves insertion order). Allocated lazily: a queue whose
-/// events never outrun the first level pays nothing for the hierarchy.
-struct Level2 {
-    buckets: Vec<Fifo>,
-    occupied: [u64; L2_WORDS],
-    /// First instant of the window, aligned down to `WHEEL`. The bucket
-    /// for instant `t` is `(t >> L2_SHIFT) & L2_IDX_MASK`; the window
-    /// never spans more than one rotation, so the residue is unique.
-    start: u64,
-    /// First instant *not* covered: events at or past it go to the
-    /// overflow map. At most `start + L2_SPAN`, and never past the
-    /// earliest overflow instant (the exclusive cap keeps an equal-time
-    /// event behind a parked overflow one, mirroring the first level).
-    limit: u64,
-    len: usize,
-}
-
-impl Level2 {
-    fn new() -> Self {
-        Level2 {
-            buckets: vec![Fifo::EMPTY; L2_BUCKETS],
-            occupied: [0; L2_WORDS],
-            start: 0,
-            limit: 0,
-            len: 0,
-        }
-    }
-
-    /// Index of the earliest occupied coarse bucket. Every occupied
-    /// bucket lies within one rotation of `start`, so the first set bit
-    /// at cyclic distance `>= 0` from `start`'s residue is the earliest.
-    fn first_bucket(&self) -> Option<usize> {
-        next_occupied_bit(
-            &self.occupied,
-            ((self.start >> L2_SHIFT) & L2_IDX_MASK) as usize,
-        )
-    }
-
-    /// First instant of the earliest occupied bucket's span (a lower
-    /// bound on every event in it).
-    fn first_span_start(&self) -> Option<u64> {
-        let b = self.first_bucket()?;
-        let base = (self.start >> L2_SHIFT) & L2_IDX_MASK;
-        let dist = (b as u64).wrapping_sub(base) & L2_IDX_MASK;
-        Some(self.start + (dist << L2_SHIFT))
-    }
-
-    fn clear(&mut self) {
-        if self.len > 0 {
-            self.buckets.fill(Fifo::EMPTY);
-        }
-        self.occupied = [0; L2_WORDS];
-        self.start = 0;
-        self.limit = 0;
-        self.len = 0;
-    }
-}
-
-/// First set bit at cyclic distance `>= 0` from `from` in a 4096-bit
-/// occupancy bitmap, scanning the whole map once. Shared by both wheel
-/// levels (identical geometry).
-fn next_occupied_bit(occupied: &[u64], from: usize) -> Option<usize> {
-    let words = occupied.len();
-    let mut w = from / 64;
-    let mut word = occupied[w] & (!0u64 << (from % 64));
-    for _ in 0..=words {
-        if word != 0 {
-            return Some(w * 64 + word.trailing_zeros() as usize);
-        }
-        w = (w + 1) % words;
-        word = occupied[w];
-        if w == from / 64 {
-            // Wrapped: finish with the bits before `from`.
-            word &= !(!0u64 << (from % 64));
-        }
-    }
-    None
+/// A far-heap key, ordered by due instant and then by schedule rank, so
+/// same-instant far events leave the heap in insertion order.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct Far {
+    at: u64,
+    rank: u64,
+    idx: u32,
 }
 
 /// A deterministic discrete-event queue.
@@ -206,53 +108,35 @@ fn next_occupied_bit(occupied: &[u64], from: usize) -> Option<usize> {
 ///
 /// # Structure
 ///
-/// Every pending event is one entry of a slab `Vec`. Three levels of
-/// FIFO lists over that slab, all keyed by the event's due time, order
-/// them:
+/// Every pending event is one entry of a slab `Vec`, on one of two
+/// levels under one invariant: the **near wheel** holds exactly the
+/// events due less than `WHEEL` ms after the clock, and the **far heap**
+/// holds every other one.
 ///
-/// - a **wheel** of `WHEEL` buckets covering the instants
-///   `[window_start, wheel_limit)`, bucket `t & WHEEL_MASK` listing
-///   exactly the events due at instant `t` (the window never spans more
-///   than one full period, so the residue is unique within it), with an
-///   occupancy bitmap for constant-time next-bucket scans;
-/// - a lazily allocated **coarse second level** (`Level2`) of
-///   `L2_BUCKETS` buckets, each spanning one full first-level period
-///   (`WHEEL` ms, so the level covers ~4.66 h), listing events at or
-///   beyond `wheel_limit` in insertion order per bucket;
-/// - a sorted **overflow** level (`BTreeMap` of per-instant lists) for
-///   events at or beyond the second level's horizon.
+/// - The wheel is `WHEEL` per-millisecond buckets. Bucket `t &
+///   WHEEL_MASK` lists the events due at instant `t` in insertion order;
+///   the window spans one period, so each residue names one instant. An
+///   occupancy bitmap finds the earliest bucket in constant time.
+/// - The far heap is a min-heap of (instant, schedule rank, slab index)
+///   keys.
 ///
-/// Moving events between levels relinks entries and never copies a
-/// payload. Three invariants make the split correct: every wheel event
-/// is earlier than every second-level event, every second-level event is
-/// earlier than every overflow event (so a pop can ignore the outer
-/// levels while an inner one is non-empty), and a first-level bucket
-/// only ever holds one instant. The windows move in three ways, all
-/// preserving same-instant FIFO order across levels (an event can only
-/// change level before any later-scheduled equal-time event targets the
-/// same level directly, because each window limit is capped
-/// *exclusively* at the earliest parked instant of the next level out):
+/// A schedule goes to the wheel when its instant is inside the window
+/// and to the heap otherwise. The window slides with the clock, and one
+/// rule keeps the invariant: whenever the clock moves (a pop to a later
+/// instant, [`EventQueue::advance_to`], or a pop that finds the wheel
+/// empty and jumps to the heap's head), the heap's entries now inside
+/// the window move onto their buckets in (instant, rank) order. Every
+/// instant's events sit on one level, since the window covered none of
+/// a heap entry's instant until the pull, so a pulled instant keeps its
+/// insertion order on the wheel and later schedules queue behind it. A
+/// clamped event lands on the wheel at the clock's bucket, behind every
+/// event already due there, and so keeps its insertion rank.
 ///
-/// - when a pop finds the wheel empty, it rebases the window onto the
-///   earliest pending instant's span — draining the earliest coarse
-///   second-level bucket (insertion order restores per-instant FIFO as
-///   entries land in per-millisecond buckets) and splicing in any
-///   overflow instants the new window covers, in time order;
-/// - when a schedule finds the wheel empty and its event past
-///   `wheel_limit`, it slides the window forward to start at `now` —
-///   this is what keeps steady periodic work (e.g. probe loops
-///   rescheduling `interval` ahead) on the wheel path instead of
-///   bouncing through the outer levels;
-/// - when a schedule finds the second level empty and its event past
-///   `wheel_limit`, it re-anchors the second-level window at
-///   `wheel_limit` (aligned down to the period), so events parked hours
-///   ahead land in O(1) coarse buckets instead of the `BTreeMap`.
-///
-/// A bucket is two `u32` slab indices (8 B), so the fixed cost is the
-/// two bucket arrays (32 KiB each, the second only once used) and the
-/// rest follows the peak number of live events. [`EventQueue::clear`]
-/// keeps the slab's capacity, so a pooled queue reaches steady state with
-/// zero allocations per event.
+/// A bucket is two `u32` slab indices (8 B), so the fixed cost is one
+/// 32 KiB bucket array and the rest follows the peak number of live
+/// events. [`EventQueue::clear`] keeps the slab's and the heap's
+/// capacity, so a pooled queue reaches steady state with zero
+/// allocations per event.
 ///
 /// # Examples
 ///
@@ -272,28 +156,16 @@ pub struct EventQueue<E> {
     /// Head of the free-slot list threaded through `next` (`NIL`: none).
     free: u32,
     /// `buckets[t & WHEEL_MASK]` lists the events due at instant `t` for
-    /// `t` within the current window, in insertion order.
+    /// `t` within the window, in insertion order.
     buckets: Vec<Fifo>,
     /// One bit per bucket: set iff the bucket is non-empty.
     occupied: [u64; WORDS],
-    /// First instant covered by the wheel. `window_start <= now` between
-    /// public calls except transiently inside [`EventQueue::pop`].
-    window_start: u64,
-    /// First instant *not* covered by the wheel: events at or past it go
-    /// to the outer levels. At most `window_start + WHEEL`, and never
-    /// past the earliest parked instant (else a pop could take a wheel
-    /// event that should sort after a parked one).
-    wheel_limit: u64,
-    /// Events in wheel buckets (the outer levels hold `len - wheel_len`).
+    /// Events in wheel buckets.
     wheel_len: usize,
-    /// Coarse second level for events past `wheel_limit`, within ~4.66 h.
-    /// `None` until an event first lands there.
-    level2: Option<Box<Level2>>,
-    /// Events due at or after the second level's limit: one FIFO list
-    /// per instant, with its length.
-    overflow: BTreeMap<u64, (Fifo, usize)>,
-    /// Total pending events across all levels.
-    len: usize,
+    /// Every event due `WHEEL` ms or more after the clock.
+    far: BinaryHeap<Reverse<Far>>,
+    /// Rank of the next event pushed onto `far`.
+    next_rank: u64,
     now: Timestamp,
 }
 
@@ -304,12 +176,9 @@ impl<E> Default for EventQueue<E> {
             free: NIL,
             buckets: vec![Fifo::EMPTY; WHEEL],
             occupied: [0; WORDS],
-            window_start: 0,
-            wheel_limit: WHEEL as u64,
             wheel_len: 0,
-            level2: None,
-            overflow: BTreeMap::new(),
-            len: 0,
+            far: BinaryHeap::new(),
+            next_rank: 0,
             now: Timestamp::ZERO,
         }
     }
@@ -328,99 +197,54 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.wheel_len + self.far.len()
     }
 
     /// `true` when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
-    /// Approximate heap footprint in bytes, in O(1): the slab's capacity
-    /// times the entry size, the two bucket arrays and one map key per
-    /// overflow instant (map node overhead is not chased). Retained (not
-    /// just occupied) capacity is what a resident home pins in memory,
-    /// so this is the number the service runner's eviction accounting
-    /// wants; it follows the peak number of events the queue has held.
+    /// Approximate heap footprint in bytes, in O(1): the slab's and the
+    /// far heap's capacity times their entry sizes, plus the bucket
+    /// array. Retained (not just occupied) capacity is what a resident
+    /// home pins in memory, so this is the number the service runner's
+    /// eviction accounting wants; it follows the peak number of events
+    /// the queue has held.
     pub fn approx_bytes(&self) -> usize {
-        let mut bytes = std::mem::size_of::<Self>()
+        std::mem::size_of::<Self>()
             + self.slab.capacity() * std::mem::size_of::<Entry<E>>()
             + self.buckets.capacity() * std::mem::size_of::<Fifo>()
-            + self.overflow.len() * std::mem::size_of::<(u64, (Fifo, usize))>();
-        if let Some(l2) = &self.level2 {
-            bytes +=
-                std::mem::size_of::<Level2>() + l2.buckets.capacity() * std::mem::size_of::<Fifo>();
-        }
-        bytes
+            + self.far.capacity() * std::mem::size_of::<Reverse<Far>>()
     }
 
     /// Empties the queue and resets the clock to zero, dropping every
-    /// pending payload but keeping the slab's capacity and the bucket
-    /// arrays, so a recycled queue schedules and pops without allocating.
-    /// Used by the harness's per-thread queue pool.
+    /// pending payload but keeping the slab's and the heap's capacity and
+    /// the bucket array, so a recycled queue schedules and pops without
+    /// allocating. Used by the harness's per-thread queue pool.
     pub fn clear(&mut self) {
         self.slab.clear();
         self.free = NIL;
         if self.wheel_len > 0 {
             self.buckets.fill(Fifo::EMPTY);
         }
-        if let Some(l2) = &mut self.level2 {
-            l2.clear();
-        }
-        self.overflow.clear();
         self.occupied = [0; WORDS];
-        self.window_start = 0;
-        self.wheel_limit = WHEEL as u64;
         self.wheel_len = 0;
-        self.len = 0;
+        self.far.clear();
+        self.next_rank = 0;
         self.now = Timestamp::ZERO;
     }
 
     /// Schedules `payload` at time `at` (clamped to now if in the past).
     pub fn schedule(&mut self, at: Timestamp, payload: E) {
         let at = at.max(self.now).as_millis();
-        self.len += 1;
         let idx = self.alloc(at, payload);
-        if at >= self.wheel_limit && self.wheel_len == 0 {
-            // Empty wheel: slide the window up to the clock so the event
-            // lands on the wheel path when it fits. Every pending event
-            // is in an outer level and at or after `now`, so capping the
-            // limit at the earliest parked instant (the lower bound of
-            // the earliest coarse bucket, or the first overflow key)
-            // keeps the split invariants (an equal-time event must
-            // *stay* behind the parked one, hence the cap is exclusive).
-            let first_parked = self.first_parked_instant();
-            self.window_start = self.now.as_millis();
-            self.wheel_limit = (self.window_start + WHEEL as u64).min(first_parked);
-        }
-        if at < self.wheel_limit {
-            let b = (at & WHEEL_MASK) as usize;
-            self.buckets[b].push(&mut self.slab, idx);
-            self.occupied[b / 64] |= 1 << (b % 64);
-            self.wheel_len += 1;
-            return;
-        }
-        // Second level. Re-anchor its window whenever it sits empty: the
-        // slide above guarantees `wheel_limit >= now` here, and while
-        // the level holds events its window (and limit) never move, so
-        // "every second-level event < its limit <= every overflow key"
-        // holds for the level's whole occupancy — an instant's events
-        // can never straddle the level-2/overflow split.
-        let first_over = self.overflow.keys().next().copied().unwrap_or(u64::MAX);
-        let l2 = self.level2.get_or_insert_with(|| Box::new(Level2::new()));
-        if l2.len == 0 {
-            l2.start = self.wheel_limit & !WHEEL_MASK;
-            l2.limit = (l2.start + L2_SPAN).min(first_over);
-        }
-        if at < l2.limit {
-            let b = ((at >> L2_SHIFT) & L2_IDX_MASK) as usize;
-            l2.buckets[b].push(&mut self.slab, idx);
-            l2.occupied[b / 64] |= 1 << (b % 64);
-            l2.len += 1;
+        if self.in_window(at) {
+            self.link(idx, at);
         } else {
-            let (list, n) = self.overflow.entry(at).or_insert((Fifo::EMPTY, 0));
-            list.push(&mut self.slab, idx);
-            *n += 1;
+            let rank = self.next_rank;
+            self.next_rank += 1;
+            self.far.push(Reverse(Far { at, rank, idx }));
         }
     }
 
@@ -458,33 +282,38 @@ impl<E> EventQueue<E> {
         (slot.at, payload)
     }
 
-    /// Lower bound on the earliest event parked outside the near wheel
-    /// (`u64::MAX` when both outer levels are empty). Used as the
-    /// exclusive cap for window slides.
-    fn first_parked_instant(&self) -> u64 {
-        let l2_first = self
-            .level2
-            .as_ref()
-            .filter(|l2| l2.len > 0)
-            .and_then(|l2| l2.first_span_start())
-            .unwrap_or(u64::MAX);
-        let over_first = self.overflow.keys().next().copied().unwrap_or(u64::MAX);
-        l2_first.min(over_first)
+    /// `true` when instant `at`, never before the clock, is inside the
+    /// wheel's window. Written as a distance so it cannot overflow.
+    fn in_window(&self, at: u64) -> bool {
+        at - self.now.as_millis() < WHEEL as u64
+    }
+
+    /// Links the unlinked entry `idx`, due at `at` inside the window, at
+    /// the back of its bucket.
+    fn link(&mut self, idx: u32, at: u64) {
+        let b = (at & WHEEL_MASK) as usize;
+        self.buckets[b].push(&mut self.slab, idx);
+        self.occupied[b / 64] |= 1 << (b % 64);
+        self.wheel_len += 1;
+    }
+
+    /// Moves the clock forward to `t`, which no pending event precedes,
+    /// and pulls every far event now inside the window onto its bucket
+    /// in (instant, rank) order.
+    fn advance_clock(&mut self, t: u64) {
+        self.now = Timestamp::from_millis(t);
+        while let Some(&Reverse(Far { at, idx, .. })) = self.far.peek() {
+            if !self.in_window(at) {
+                break;
+            }
+            self.far.pop();
+            self.link(idx, at);
+        }
     }
 
     /// Pops the next event and advances the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(Timestamp, E)> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.wheel_len == 0 {
-            self.rebase();
-        }
-        let from = self.window_start.max(self.now.as_millis());
-        let b = self
-            .next_occupied(from)
-            .expect("len > 0 and wheel non-empty after rebase");
-        Some(self.pop_bucket(b, from))
+        self.pop_due(Timestamp::from_millis(u64::MAX))
     }
 
     /// Pops the next event only if it is due at or before `limit`. A later
@@ -492,18 +321,28 @@ impl<E> EventQueue<E> {
     /// decide on the earliest instant without consuming past it.
     pub fn pop_due(&mut self, limit: Timestamp) -> Option<(Timestamp, E)> {
         if self.wheel_len == 0 {
-            // The earliest event, if any, is parked in an outer level; a
-            // rebase must not run unless the pop does.
-            return if self.peek_time()? <= limit {
-                self.pop()
-            } else {
-                None
-            };
+            let Reverse(head) = self.far.peek()?;
+            if head.at > limit.as_millis() {
+                return None;
+            }
+            // The jump pulls the head onto the wheel.
+            self.advance_clock(head.at);
         }
-        let from = self.window_start.max(self.now.as_millis());
-        let b = self.next_occupied(from).expect("wheel_len > 0");
-        let at = from + ((b as u64).wrapping_sub(from) & WHEEL_MASK);
-        (at <= limit.as_millis()).then(|| self.pop_bucket(b, from))
+        let (b, at) = self.first_bucket().expect("the wheel holds an event");
+        if at > limit.as_millis() {
+            return None;
+        }
+        let idx = self.buckets[b].pop(&self.slab);
+        if self.buckets[b].is_empty() {
+            self.occupied[b / 64] &= !(1 << (b % 64));
+        }
+        self.wheel_len -= 1;
+        let (due, payload) = self.release(idx);
+        debug_assert_eq!(due, at, "a wheel bucket held an instant outside the window");
+        if at > self.now.as_millis() {
+            self.advance_clock(at);
+        }
+        Some((self.now, payload))
     }
 
     /// Moves the clock forward to `t` without popping, exactly as popping
@@ -515,141 +354,46 @@ impl<E> EventQueue<E> {
         if self.peek_time().is_some_and(|next| next < t) {
             return false;
         }
-        self.now = self.now.max(t);
-        true
-    }
-
-    /// Unlinks the front entry of wheel bucket `b`, the earliest occupied
-    /// bucket at or after instant `from`, and advances the clock to it.
-    fn pop_bucket(&mut self, b: usize, from: u64) -> (Timestamp, E) {
-        let idx = self.buckets[b].pop(&self.slab).expect("occupied bit set");
-        if self.buckets[b].is_empty() {
-            self.occupied[b / 64] &= !(1 << (b % 64));
+        if t > self.now {
+            self.advance_clock(t.as_millis());
         }
-        self.wheel_len -= 1;
-        self.len -= 1;
-        let (at, payload) = self.release(idx);
-        // Each residue occurs once in the window, so the cyclic distance
-        // from `from` to the bucket is the event's instant.
-        debug_assert_eq!(
-            at,
-            from + ((b as u64).wrapping_sub(from) & WHEEL_MASK),
-            "a wheel bucket held an instant outside the window"
-        );
-        debug_assert!(at >= self.now.as_millis(), "virtual time went backwards");
-        self.now = Timestamp::from_millis(at);
-        (self.now, payload)
+        true
     }
 
     /// Timestamp of the next pending event without popping it.
     pub fn peek_time(&self) -> Option<Timestamp> {
-        if self.len == 0 {
+        let at = match self.first_bucket() {
+            Some((_, at)) => at,
+            None => self.far.peek()?.0.at,
+        };
+        Some(Timestamp::from_millis(at))
+    }
+
+    /// The earliest occupied bucket and its instant. Every wheel event is
+    /// due less than `WHEEL` ms after the clock, so the first set bit at
+    /// cyclic distance `>= 0` from the clock's residue is the earliest,
+    /// and that distance added to the clock is its instant.
+    fn first_bucket(&self) -> Option<(usize, u64)> {
+        if self.wheel_len == 0 {
             return None;
         }
-        if self.wheel_len == 0 {
-            if let Some(l2) = self.level2.as_ref().filter(|l2| l2.len > 0) {
-                // The earliest coarse bucket mixes instants in insertion
-                // order, so the minimum needs a walk of that one list;
-                // every second-level event precedes every overflow one.
-                let b = l2.first_bucket().expect("len > 0");
-                let min = l2.buckets[b]
-                    .iter(&self.slab)
-                    .map(|i| self.slab[i as usize].at)
-                    .min()
-                    .expect("occupied bit set");
-                return Some(Timestamp::from_millis(min));
+        let now = self.now.as_millis();
+        let from = (now & WHEEL_MASK) as usize;
+        let mut w = from / 64;
+        let mut word = self.occupied[w] & (!0u64 << (from % 64));
+        for _ in 0..=WORDS {
+            if word != 0 {
+                let b = w * 64 + word.trailing_zeros() as usize;
+                return Some((b, now + ((b as u64).wrapping_sub(now) & WHEEL_MASK)));
             }
-            return self
-                .overflow
-                .keys()
-                .next()
-                .map(|&ms| Timestamp::from_millis(ms));
-        }
-        let from = self.window_start.max(self.now.as_millis());
-        let b = self.next_occupied(from).expect("wheel_len > 0");
-        Some(Timestamp::from_millis(
-            from + ((b as u64).wrapping_sub(from) & WHEEL_MASK),
-        ))
-    }
-
-    /// Moves the window onto the earliest pending instant's span and
-    /// relinks every newly covered event into its per-millisecond
-    /// bucket. Only called with an empty wheel.
-    ///
-    /// With second-level events pending, the earliest pending event is
-    /// in the earliest occupied coarse bucket (every second-level event
-    /// precedes every overflow one), whose span is exactly one wheel
-    /// period: the window adopts that span, the bucket's list drains in
-    /// insertion order (restoring per-instant FIFO as entries land in
-    /// single-instant buckets), and any overflow instants the new window
-    /// covers — possible when the second level's limit was capped
-    /// mid-span by a parked overflow instant — splice in on top. An
-    /// instant's events never straddle the level-2/overflow split (see
-    /// [`EventQueue::schedule`]), so the two sources never interleave
-    /// within one instant and the drain order is safe.
-    ///
-    /// With no second-level events, the window rebases onto the earliest
-    /// overflow instant; `BTreeMap` iteration order (time, then each
-    /// instant's insertion-ordered list) lands migrated events in exactly
-    /// the order the old sorted heap would have popped them.
-    fn rebase(&mut self) {
-        if let Some(l2) = self.level2.as_mut().filter(|l2| l2.len > 0) {
-            let b = l2.first_bucket().expect("len > 0");
-            let base = (l2.start >> L2_SHIFT) & L2_IDX_MASK;
-            let dist = (b as u64).wrapping_sub(base) & L2_IDX_MASK;
-            let span_start = l2.start + (dist << L2_SHIFT);
-            self.window_start = span_start;
-            self.wheel_limit = span_start + WHEEL as u64;
-            let mut idx = std::mem::replace(&mut l2.buckets[b], Fifo::EMPTY).head;
-            l2.occupied[b / 64] &= !(1 << (b % 64));
-            while idx != NIL {
-                let Entry { at, next, .. } = self.slab[idx as usize];
-                debug_assert!(
-                    at >= span_start && at < self.wheel_limit,
-                    "second-level bucket held an instant outside its span"
-                );
-                let wb = (at & WHEEL_MASK) as usize;
-                self.buckets[wb].push(&mut self.slab, idx);
-                self.occupied[wb / 64] |= 1 << (wb % 64);
-                l2.len -= 1;
-                self.wheel_len += 1;
-                idx = next;
+            w = (w + 1) % WORDS;
+            word = self.occupied[w];
+            if w == from / 64 {
+                // Wrapped: finish with the bits before `from`.
+                word &= !(!0u64 << (from % 64));
             }
-        } else {
-            let &start = self
-                .overflow
-                .keys()
-                .next()
-                .expect("rebase called with pending events");
-            self.window_start = start;
-            self.wheel_limit = start + WHEEL as u64;
         }
-        self.migrate_overflow_into_window();
-    }
-
-    /// Moves every overflow instant earlier than `wheel_limit` onto its
-    /// wheel bucket, in time order: each instant's list is spliced whole,
-    /// in O(1). The bucket is always empty beforehand — the wheel was
-    /// empty at the rebase, overflow instants are distinct, and none
-    /// equals a drained second-level instant.
-    fn migrate_overflow_into_window(&mut self) {
-        while let Some(entry) = self.overflow.first_entry() {
-            if *entry.key() >= self.wheel_limit {
-                break;
-            }
-            let (at, (list, n)) = entry.remove_entry();
-            let b = (at & WHEEL_MASK) as usize;
-            debug_assert!(self.buckets[b].is_empty(), "an instant spans two levels");
-            self.buckets[b] = list;
-            self.occupied[b / 64] |= 1 << (b % 64);
-            self.wheel_len += n;
-        }
-    }
-
-    /// First occupied bucket at cyclic distance `>= 0` from instant
-    /// `from`, scanning the full wheel once via the occupancy bitmap.
-    fn next_occupied(&self, from: u64) -> Option<usize> {
-        next_occupied_bit(&self.occupied, (from & WHEEL_MASK) as usize)
+        unreachable!("wheel_len > 0 but no occupied bucket")
     }
 }
 
@@ -657,6 +401,9 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
     use std::rc::Rc;
+
+    const MINUTE: u64 = 60_000;
+    const HOUR: u64 = 60 * MINUTE;
 
     fn t(ms: u64) -> Timestamp {
         Timestamp::from_millis(ms)
@@ -730,7 +477,7 @@ mod tests {
     #[test]
     fn pop_due_and_advance_to_stop_at_the_next_pending_event() {
         let mut q = EventQueue::new();
-        let far = WHEEL as u64 * 3; // parked on the second level
+        let far = WHEEL as u64 * 3; // parked on the far heap
         q.schedule(t(far), "far");
         assert_eq!(q.pop_due(t(far - 1)), None, "not due yet");
         assert!(!q.advance_to(t(far + 1)), "would pass the pending event");
@@ -738,8 +485,9 @@ mod tests {
         assert!(q.advance_to(t(far)), "up to the pending instant is fine");
         assert!(q.advance_to(t(5)), "an earlier target is a no-op");
         assert_eq!(q.now(), t(far));
-        // Schedules now clamp to the advanced clock and queue behind the
-        // event already due there, as after a pop at `far`.
+        // The advance pulled `far` onto the wheel. Schedules now clamp to
+        // the advanced clock and queue behind the event already due
+        // there, as after a pop at `far`.
         q.schedule(t(10), "clamped");
         assert_eq!(q.pop_due(t(far)), Some((t(far), "far")));
         assert_eq!(q.pop_due(t(far)), Some((t(far), "clamped")));
@@ -777,8 +525,9 @@ mod tests {
 
     #[test]
     fn far_future_events_cross_the_overflow_level() {
-        // Events far beyond the wheel's horizon park in the overflow
-        // level and migrate in on rebase, FIFO order intact.
+        // Events far beyond the wheel's horizon park on the far heap, the
+        // wheel's overflow level, and are pulled in once the clock jumps
+        // to them, FIFO order intact.
         let mut q = EventQueue::new();
         let far = WHEEL as u64 * 10;
         for i in 0..5 {
@@ -787,7 +536,7 @@ mod tests {
         q.schedule(t(far + WHEEL as u64 + 1), 99);
         q.schedule(t(3), -1);
         assert_eq!(q.pop(), Some((t(3), -1)));
-        assert_eq!(q.peek_time(), Some(t(far)), "peek reads overflow");
+        assert_eq!(q.peek_time(), Some(t(far)), "peek reads the far heap");
         for i in 0..5 {
             assert_eq!(q.pop(), Some((t(far), i)));
         }
@@ -797,15 +546,16 @@ mod tests {
 
     #[test]
     fn same_instant_fifo_survives_migration() {
-        // An event lands in overflow, migrates into the wheel on rebase,
-        // and a *later-scheduled* event at the same instant must still
-        // pop behind it.
+        // An event parks on the far heap, is pulled onto the wheel when
+        // the clock jumps to it, and a *later-scheduled* event at the
+        // same instant must still pop behind it.
         let mut q = EventQueue::new();
         let at = WHEEL as u64 + 500;
         q.schedule(t(at), "early-seq");
         q.schedule(t(1), "opener");
         assert_eq!(q.pop(), Some((t(1), "opener")));
-        // Still before the rebase: `at` stays in overflow.
+        // The clock is at 1, so `at` is still outside the window: this
+        // one parks on the heap too, ranked behind the first.
         q.schedule(t(at), "mid-seq");
         assert_eq!(q.pop(), Some((t(at), "early-seq")));
         q.schedule(t(at), "late-seq");
@@ -816,8 +566,8 @@ mod tests {
     #[test]
     fn slide_keeps_periodic_rescheduling_ordered() {
         // The probe-loop pattern: each pop reschedules `interval` ahead.
-        // The window slides instead of rebasing, and order must hold
-        // across thousands of wrap-arounds.
+        // The window slides with the clock, so every re-arm lands on the
+        // wheel, and order must hold across thousands of wrap-arounds.
         let interval = 1_000u64;
         let mut q = EventQueue::new();
         for d in 0..7u64 {
@@ -831,20 +581,21 @@ mod tests {
             q.schedule(t(at.as_millis() + interval), d);
         }
         assert_eq!(q.len(), 7);
+        assert!(q.far.is_empty(), "one-second re-arms never reach the heap");
     }
 
     #[test]
     fn slide_cannot_jump_parked_overflow_events() {
-        // Regression for the window slide: with an event parked in
-        // overflow, a slide must cap the wheel limit so a later, *later-
-        // scheduled* event at or before the parked instant cannot pop
-        // first.
+        // With an event parked on the far heap, neither a sliding clock
+        // nor the jump that pulls the heap's head may let a later, *later-
+        // scheduled* event at or before the parked instant pop first.
         let mut q = EventQueue::new();
         let far = WHEEL as u64 * 3 + 17;
         q.schedule(t(10), "opener");
         q.schedule(t(far), "parked-early-seq");
         assert_eq!(q.pop(), Some((t(10), "opener")));
-        // Wheel is now empty; this schedule slides the window.
+        // The wheel is now empty and the window ends at 10 + WHEEL: all
+        // three below park on the heap and are pulled together.
         q.schedule(t(far), "parked-late-seq");
         q.schedule(t(far - 1), "just-before");
         assert_eq!(q.pop(), Some((t(far - 1), "just-before")));
@@ -885,37 +636,41 @@ mod tests {
     }
 
     #[test]
-    fn level2_bucket_mixing_instants_pops_in_time_order() {
-        // One coarse second-level bucket holds several instants in
-        // insertion (not time) order; the drain into per-millisecond
-        // buckets must restore time order, and peek must report the true
-        // minimum, not the first-inserted entry.
+    fn far_instants_within_one_period_pop_in_time_order() {
+        // Several far instants within one wheel period, scheduled out of
+        // time order: the heap must hand them to the wheel in time order,
+        // and peek must report the true minimum, not the first-inserted
+        // entry.
         let mut q = EventQueue::new();
-        let span = WHEEL as u64; // second-level buckets are one period wide
+        let span = WHEEL as u64; // just past the window
         q.schedule(t(span + 900), "later");
         q.schedule(t(span + 100), "earlier");
         q.schedule(t(span + 900), "later-2");
-        assert_eq!(q.peek_time(), Some(t(span + 100)), "peek scans the bucket");
+        assert_eq!(
+            q.peek_time(),
+            Some(t(span + 100)),
+            "peek reads the heap's head"
+        );
         assert_eq!(q.pop(), Some((t(span + 100), "earlier")));
         assert_eq!(q.pop(), Some((t(span + 900), "later")));
         assert_eq!(q.pop(), Some((t(span + 900), "later-2")));
     }
 
     #[test]
-    fn events_exactly_at_level1_level2_edge_stay_ordered() {
-        // The promote/demote boundary: with the wheel non-empty, an
-        // event at exactly `wheel_limit` is the first instant of the
-        // second level, and equal-time events scheduled before and after
-        // the rebase that promotes it must pop in insertion order.
+    fn events_exactly_at_the_wheel_heap_edge_stay_ordered() {
+        // The window's edge: with the clock at zero, an event at exactly
+        // `WHEEL` is the first instant on the far heap, and equal-time
+        // events scheduled before and after the pull that moves it onto
+        // the wheel must pop in insertion order.
         let mut q = EventQueue::new();
-        let edge = WHEEL as u64; // wheel_limit for a fresh queue
+        let edge = WHEEL as u64; // first instant past a fresh window
         q.schedule(t(edge - 1), "last-in-window");
         q.schedule(t(edge), "first-past-a");
         q.schedule(t(edge), "first-past-b");
         assert_eq!(q.pop(), Some((t(edge - 1), "last-in-window")));
-        // Rebase promoted the edge instant into the wheel; a fresh
-        // equal-time event now targets the level-1 bucket directly and
-        // must still pop behind the promoted ones.
+        // The pop moved the clock to `edge - 1` and pulled the edge
+        // instant onto the wheel; a fresh equal-time event now targets
+        // its bucket directly and must still pop behind the pulled ones.
         q.schedule(t(edge), "first-past-c");
         assert_eq!(q.pop(), Some((t(edge), "first-past-a")));
         assert_eq!(q.pop(), Some((t(edge), "first-past-b")));
@@ -923,15 +678,13 @@ mod tests {
     }
 
     #[test]
-    fn events_exactly_at_level2_overflow_edge_stay_ordered() {
-        // An event parked in the overflow map caps a later second-level
-        // re-anchor *exclusively*, so an equal-time event scheduled
-        // afterwards joins the overflow level behind it instead of
-        // jumping ahead through a coarse bucket.
+    fn equal_time_far_events_keep_schedule_order() {
+        // Two events parked at one instant ~9.3 h out, then one just
+        // before it: the heap's rank tiebreak must hand the equal-time
+        // pair to the wheel in the order they were scheduled.
         let mut q = EventQueue::new();
-        let far = L2_SPAN * 2 + 12_345; // beyond any level-2 window
+        let far = 33_566_777;
         q.schedule(t(far), "parked-early");
-        // Re-anchors level 2 (empty) with limit capped at `far`.
         q.schedule(t(far), "parked-late");
         q.schedule(t(far - 1), "just-before");
         assert_eq!(q.pop(), Some((t(far - 1), "just-before")));
@@ -941,12 +694,12 @@ mod tests {
     }
 
     #[test]
-    fn clamp_to_now_ordering_survives_level2_promotion() {
-        // Events queued at a far instant cross the second level; once
-        // the clock reaches that instant, a stale (clamped) event must
-        // still pop behind everything already queued there and ahead of
+    fn clamp_to_now_ordering_survives_the_pull() {
+        // An event queued at a far instant crosses the heap; once the
+        // clock reaches that instant, a stale (clamped) event must still
+        // pop behind everything already queued there and ahead of
         // anything queued later — the clamp contract is unchanged by the
-        // extra level.
+        // pull.
         let mut q = EventQueue::new();
         let at = WHEEL as u64 * 5 + 77;
         q.schedule(t(at), "promoted-a");
@@ -963,10 +716,10 @@ mod tests {
 
     #[test]
     fn hours_long_horizon_stress_matches_sorted_order() {
-        // Deterministic pseudo-random events spread over ~2.5 second-
-        // level rotations (~11.6 h of virtual time), so every level —
-        // near wheel, coarse buckets, overflow map — and every promotion
-        // path is exercised against a straight stable sort.
+        // Deterministic pseudo-random events spread over ~11.6 h of
+        // virtual time, so both levels, the jump to the heap's head and
+        // the pull on every clock move are exercised against a straight
+        // stable sort.
         let mut q = EventQueue::new();
         let mut expected: Vec<(u64, u32)> = Vec::new();
         let mut x = 0x5AFE_5EEDu64;
@@ -974,7 +727,7 @@ mod tests {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let at = x % (L2_SPAN * 5 / 2);
+            let at = x % 41_943_040;
             q.schedule(t(at), i);
             expected.push((at, i));
         }
@@ -988,9 +741,9 @@ mod tests {
     #[test]
     fn periodic_rescheduling_with_hour_scale_interval_stays_ordered() {
         // The service-mode timer-wheel pattern: per-home next-event
-        // times rescheduled tens of minutes ahead, far past the near
-        // wheel but within the second level.
-        let interval = 37 * 60 * 1_000u64; // 37 min, < L2_SPAN
+        // times rescheduled tens of minutes ahead, so every re-park goes
+        // through the far heap.
+        let interval = 37 * MINUTE;
         let mut q = EventQueue::new();
         for d in 0..5u64 {
             q.schedule(t(d * 13_331), d);
@@ -1055,20 +808,19 @@ mod tests {
     }
 
     #[test]
-    fn l2_entry_stolen_mid_span_leaves_siblings_ordered() {
-        // Entries parked far ahead share one coarse second-level bucket
-        // (same WHEEL-ms span). A steal pops the earliest — which drains
-        // and rebases the span — and re-parks it further out; the
-        // remaining same-span entries must still pop in time order, and
-        // a re-park landing *back inside* the active span must slot in
-        // correctly rather than ride behind the span's tail.
-        let base = WHEEL as u64 * 3; // comfortably on the second level
+    fn repark_between_pulled_far_entries_stays_ordered() {
+        // Entries parked far ahead within one wheel period. A steal pops
+        // the earliest — the jump pulls all of them onto the wheel — and
+        // re-parks it between its siblings; the remaining entries must
+        // still pop in time order, with the re-park slotted between
+        // them rather than riding behind the last.
+        let base = WHEEL as u64 * 3; // comfortably on the far heap
         let mut q = EventQueue::new();
         q.schedule(t(base + 10), "early");
         q.schedule(t(base + 30), "late");
         q.schedule(t(base + 20), "mid");
         assert_eq!(q.pop(), Some((t(base + 10), "early")));
-        // Stolen home re-parks inside the still-active span.
+        // Stolen home re-parks between its pulled siblings.
         q.schedule(t(base + 25), "early");
         assert_eq!(q.pop(), Some((t(base + 20), "mid")));
         assert_eq!(q.pop(), Some((t(base + 25), "early")));
@@ -1100,18 +852,18 @@ mod tests {
 
     /// Runs `q` through ~6,000 distinct instants over hours of virtual
     /// time while holding at most 64 events at once: each pop is
-    /// followed by a schedule on the wheel, the second level or the
-    /// overflow map, and every level is asserted to hold events at some
-    /// point. Returns the peak number of live events.
+    /// followed by a schedule on the wheel or on the far heap, and both
+    /// levels are asserted to hold events at some point. Returns the peak
+    /// number of live events.
     fn load_all_levels(q: &mut EventQueue<u64>) -> usize {
         let mut x = 0x51AB_5EEDu64;
         let mut next_ahead = |i: u64| {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            x % [WHEEL as u64, L2_SPAN, 2 * L2_SPAN][(i % 3) as usize]
+            x % [WHEEL as u64, 9 * HOUR][(i % 2) as usize]
         };
-        let (mut peak, mut reached) = (0, [false; 3]);
+        let (mut peak, mut reached) = (0, [false; 2]);
         for i in 0..6_000u64 {
             if i >= 64 {
                 q.pop().expect("64 events stay pending");
@@ -1119,36 +871,37 @@ mod tests {
             q.schedule(t(q.now().as_millis() + next_ahead(i)), i);
             peak = peak.max(q.len());
             reached[0] |= q.wheel_len > 0;
-            reached[1] |= q.level2.as_ref().is_some_and(|l2| l2.len > 0);
-            reached[2] |= !q.overflow.is_empty();
+            reached[1] |= !q.far.is_empty();
         }
-        assert_eq!(reached, [true; 3], "the load reaches every level");
+        assert_eq!(reached, [true; 2], "the load reaches both levels");
         peak
     }
+
+    /// Bytes a queue pays per event it has held at once: a slab entry and
+    /// a heap key, each doubled for `Vec` growth.
+    const PER_EVENT: usize =
+        2 * (std::mem::size_of::<Entry<u64>>() + std::mem::size_of::<Reverse<Far>>());
+
+    /// The fixed cost: the queue itself and its one bucket array.
+    const FIXED: usize =
+        std::mem::size_of::<EventQueue<u64>>() + WHEEL * std::mem::size_of::<Fifo>();
 
     #[test]
     fn approx_bytes_follows_peak_live_events() {
         // The memory contract: buckets cost a fixed 8 B each, so beyond
-        // the two bucket arrays a queue pays only for the events it has
-        // held at once — a slab entry each, doubled for `Vec` growth,
-        // plus at most one overflow key each — however many instants
-        // the run has touched.
-        let fixed = std::mem::size_of::<EventQueue<u64>>()
-            + (WHEEL + L2_BUCKETS) * std::mem::size_of::<Fifo>()
-            + std::mem::size_of::<Level2>();
-        let per_event =
-            2 * std::mem::size_of::<Entry<u64>>() + std::mem::size_of::<(u64, (Fifo, usize))>();
+        // the bucket array a queue pays only for the events it has held
+        // at once, however many instants the run has touched.
         let mut q: EventQueue<u64> = EventQueue::new();
         let peak = load_all_levels(&mut q);
         let loaded = q.approx_bytes();
         assert!(
-            loaded <= fixed + peak * per_event,
+            loaded <= FIXED + peak * PER_EVENT,
             "{loaded} B for a peak of {peak} live events (bound {})",
-            fixed + peak * per_event
+            FIXED + peak * PER_EVENT
         );
         // The pool's promise: a cleared queue refilled with the same
-        // shape reuses its slab, so the footprint never moves — no
-        // allocation per event.
+        // shape reuses its slab and heap, so the footprint never moves —
+        // no allocation per event.
         for _ in 0..100 {
             q.clear();
             assert!(q.is_empty());
@@ -1158,13 +911,63 @@ mod tests {
     }
 
     #[test]
+    fn far_only_queue_pays_one_bucket_array() {
+        // Events parked 10 min, 5 h and 2 days ahead all wait on the far
+        // heap, and parking them allocates no bucket array beyond the
+        // wheel's.
+        let mut q: EventQueue<u64> = EventQueue::new();
+        for (i, ahead) in [10 * MINUTE, 5 * HOUR, 48 * HOUR].into_iter().enumerate() {
+            q.schedule(t(ahead), i as u64);
+        }
+        let bound = FIXED + 3 * PER_EVENT;
+        assert!(
+            q.approx_bytes() <= bound,
+            "{} B > {bound} B",
+            q.approx_bytes()
+        );
+        assert_eq!(q.pop(), Some((t(10 * MINUTE), 0)));
+    }
+
+    #[test]
+    fn one_second_rearms_stay_on_the_wheel_beside_parked_events() {
+        // 64 loops re-arm one second ahead beside events parked 10 min
+        // and 5 h out. At every step the far heap holds exactly the
+        // parked events still `WHEEL` ms or more ahead: one-second
+        // traffic never reaches it, and a parked event moves onto the
+        // wheel as soon as the clock is within `WHEEL` ms of it. The run
+        // goes past the 10-min event, which must pop at its instant.
+        let mut q = EventQueue::new();
+        for d in 0..64u64 {
+            q.schedule(t(d * 15), None);
+        }
+        let mut parked = vec![10 * MINUTE, 5 * HOUR];
+        for &at in &parked {
+            q.schedule(t(at), Some(at));
+        }
+        for _ in 0..40_000 {
+            let (at, parked_at) = q.pop().expect("the loops never drain");
+            match parked_at {
+                Some(due) => {
+                    assert_eq!(at, t(due), "a parked event pops at its instant");
+                    parked.retain(|&p| p != due);
+                }
+                None => q.schedule(t(at.as_millis() + 1_000), None),
+            }
+            let now = q.now().as_millis();
+            let still_far = parked.iter().filter(|&&p| p - now >= WHEEL as u64).count();
+            assert_eq!(q.far.len(), still_far, "at {now} ms");
+        }
+        assert_eq!(parked, [5 * HOUR], "the 10-min event popped");
+    }
+
+    #[test]
     fn every_payload_drops_exactly_once() {
         // A freed slot must not keep its payload alive, and `clear` and
         // dropping the queue must each release every pending payload
         // once: the token's strong count is always 1 + live payloads.
         let token = Rc::new(());
         let live = |token: &Rc<()>| Rc::strong_count(token) - 1;
-        let far = |i: u64| t(i.wrapping_mul(2_654_435_761) % (L2_SPAN * 3));
+        let far = |i: u64| t(i.wrapping_mul(2_654_435_761) % 50_331_648);
         let mut q = EventQueue::new();
         for i in 0..300 {
             q.schedule(far(i), Rc::clone(&token));

@@ -1,21 +1,22 @@
-//! Property test for the calendar-queue rewrite.
+//! Property test for the timing-wheel event queue.
 //!
-//! The bucketed wheel + sorted-overflow [`EventQueue`] replaced an
-//! inverted-`BinaryHeap` implementation whose contract every digest in
-//! the repo depends on: pops in non-decreasing timestamp order, FIFO
-//! among same-instant events (by insertion sequence), and past events
-//! clamped to `now` *keeping their insertion rank at the clamped
-//! instant*. This test drives random interleaved schedule/pop/clear
-//! sequences — with timestamps spanning in-wheel, window-edge and
-//! deep-overflow horizons, and deliberate past-event clamps — against a
-//! naive reference that literally is the old heap, and checks the two
-//! produce identical `(at, payload)` pop streams, clocks, peeks and
-//! lengths at every step. The clears exercise the slab's reuse: slots
-//! freed by pops and by a reset are relinked by later schedules. The mix
-//! also holds the two calls a caller with its own event source makes:
-//! `pop_due` (pop only if due by a limit) and `advance_to` (move the
-//! clock over an event consumed elsewhere, refused past a pending one),
-//! whose clock moves must leave later clamps and pops unchanged.
+//! The [`EventQueue`] (a near wheel of per-millisecond buckets over a far
+//! heap) replaced an inverted-`BinaryHeap` implementation whose contract
+//! every digest in the repo depends on: pops in non-decreasing timestamp
+//! order, FIFO among same-instant events (by insertion sequence), and
+//! past events clamped to `now` *keeping their insertion rank at the
+//! clamped instant*. This test drives random interleaved
+//! schedule/pop/clear sequences — with timestamps on the wheel, at its
+//! window edge and far out on the heap, and deliberate past-event clamps
+//! — against a naive reference that literally is the old heap, and
+//! checks the two produce identical `(at, payload)` pop streams, clocks,
+//! peeks and lengths at every step. The clears exercise the slab's
+//! reuse: slots freed by pops and by a reset are relinked by later
+//! schedules. The mix also holds the two calls a caller with its own
+//! event source makes: `pop_due` (pop only if due by a limit) and
+//! `advance_to` (move the clock over an event consumed elsewhere,
+//! refused past a pending one), whose clock moves must leave later
+//! clamps and pops unchanged.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -123,11 +124,11 @@ fn apply_ops(ops: &[(u8, u16)]) -> Result<(), String> {
                 prop_assert_eq!(wheel.now(), heap.now, "clear resets the clock");
                 prop_assert_eq!(wheel.peek_time(), None, "clear empties the queue");
             }
-            // Schedule near (in-wheel), far (second level), deep (past
-            // the second level's ~4.66 h span, so overflow; some on a
-            // few shared instants so one overflow instant holds several
-            // events), or in the past (clamped); identical calls go to
-            // both queues.
+            // Schedule near (on the wheel), just past the window or far
+            // (both on the heap), deep (at ~11.1 h, on four shared
+            // instants, so one heap instant holds several events and
+            // the heap's rank tiebreak decides their order), or in the
+            // past (clamped); identical calls go to both queues.
             0 | 1 => {
                 let now = wheel.now().as_millis();
                 let at = match (kind % 4, raw % 8) {

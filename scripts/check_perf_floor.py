@@ -25,6 +25,14 @@ runs footprints and rules only and reads about 0.01 of that, while a
 revert to the all-pairs gate reads 1.5-1.8x. A limit above 1 would pass
 that revert; 0.25 still leaves a slower host about 20x headroom.
 
+The placement row reads the smallest of the run's four samples, one per
+workload's traced pass, against the reference's smallest (5.27 us, on
+`neighborhood_batch`). Single samples range from 4.9 to 11.7 us on one
+host with no code change, and one of them read 2.7x the reference, so a
+single workload's sample fails the 2.5 limit at random. The smallest of
+four read 0.94-1.14x across eight runs, and a build that runs every
+placement four times reads 4.2-4.5x.
+
 The two `journal.*` rows measure the benchmark's side journal pass, which
 journals, crashes and replays homes of its own. The service runner does
 not journal: its eviction keeps a home's controller and resumes it, so
@@ -46,6 +54,9 @@ import sys
 
 REFERENCE = "perfbench/baseline/run-1.json"
 
+# Workload name that reads a metric as its smallest sample over every workload.
+SMALLEST = "smallest"
+
 # (workload, metric, higher is better, largest slowdown allowed, path guarded)
 FLOORS = [
     # The event loop: a revert of the calendar-queue and zero-allocation
@@ -59,7 +70,9 @@ FLOORS = [
     # The gate without the all-pairs conflict prediction reads ~0.01; a
     # revert to it reads 1.5-1.8x.
     ("workshop_intra", "lint.plan_ms", False, 0.25, "lint cluster planning"),
-    ("neighborhood_batch", "timeline.place_us.paper", False, 2.5, "Fig. 15d placement"),
+    # Every workload's traced pass measures placement; the slowest samples
+    # are host noise, so the row reads the fastest.
+    (SMALLEST, "timeline.place_us.paper", False, 2.5, "Fig. 15d placement"),
 ]
 
 # (workload, numerator, denominator, largest ratio allowed, path guarded);
@@ -87,6 +100,10 @@ def load(path):
 
 
 def value(doc, workload, metric):
+    if workload == SMALLEST:
+        found = [value(doc, w, metric) for w in doc.get("workloads", {})]
+        found = [v for v in found if v is not None]
+        return min(found) if found else None
     w = doc.get("workloads", {}).get(workload, {})
     for section in ("metrics", "layers"):
         m = w.get(section, {}).get(metric)
