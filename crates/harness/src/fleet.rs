@@ -296,10 +296,10 @@ mod tests {
         }
     }
 
-    /// The shared-cursor schedule against a static one: every home run
-    /// in index order on the calling thread, with no scheduler at all.
+    /// The shared cursor against an in-order run: every home run in
+    /// index order on the calling thread, with no scheduler at all.
     #[test]
-    fn stealing_matches_static_per_home_and_digest() {
+    fn shared_cursor_matches_in_order_run() {
         let reference = FleetResult {
             homes: (0..13).map(|h| run_home(h, 77, &tiny_home)).collect(),
             workers: 1,
@@ -327,7 +327,7 @@ mod tests {
     }
 
     #[test]
-    fn static_schedule_never_steals() {
+    fn batch_driver_never_steals_or_slices() {
         // The batch driver has no stealing and no slicing, at any width.
         let fleet = run_fleet(8, 4, 3, tiny_home);
         assert!(fleet
@@ -342,7 +342,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_fleet_is_fine_under_both_schedules() {
+    fn empty_fleet_is_fine_at_any_width() {
         // One worker and many workers both reduce to an empty result.
         for workers in [1, 4] {
             let fleet = run_fleet(0, workers, 1, tiny_home);

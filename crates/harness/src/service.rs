@@ -18,14 +18,35 @@
 //!
 //! # One shared wheel
 //!
-//! Each worker builds a contiguous range of homes on its own thread (so
-//! their simulator state comes from that thread's pool), parks them on
-//! the wheel, and waits at a barrier until every home is parked. From
-//! then on any idle worker takes the globally earliest slice, whichever
-//! worker built its unit, so a skewed fleet (a few burst-heavy "giant
-//! factory" homes) never stalls one worker while the others idle.
+//! Every unit starts unbuilt on the wheel at time zero, in unit order.
+//! Its first pop builds its driver on the popping worker's thread (so
+//! its simulator state comes from that thread's pool) and parks it at
+//! its first event without running a slice. No barrier separates
+//! building from running: the wheel pops by time, then insertion order,
+//! so every build pop precedes every slice pop, and a single worker
+//! builds every unit before its first slice. From then on any idle
+//! worker takes the globally earliest slice, whichever worker built its
+//! unit, so a skewed fleet (a few burst-heavy "giant factory" homes)
+//! never stalls one worker while the others idle.
 //! [`ServiceResult::steals`] counts the slices a worker ran for a unit
 //! another worker built.
+//!
+//! # One lock: take, run, put
+//!
+//! Everything the workers share and change — the wheel, the unit table,
+//! the eviction candidates and the counters — sits in one `Runner`
+//! behind one mutex, and every worker loops *take → run → put*. `take`
+//! pops a unit, withdraws its eviction candidacy and moves its cell out
+//! of the table into the worker's hand (or hands out the sub-runs of a
+//! split home whose last cluster finished, for merging). The build,
+//! resume, slice, latency drain, `into_output` or merge then runs with
+//! no lock held. `put` stores the cell, parks or finishes the unit, and
+//! ends with the eviction sweep. A unit in a worker's hand is neither on
+//! the wheel nor a candidate, so no other worker can reach it; a
+//! candidate is always parked, so the sweep evicts it without a
+//! re-check. A worker that panics sets the runner's `abandoned` flag on
+//! its way out, the others leave at their next take, and the panic
+//! reaches the caller.
 //!
 //! # Determinism
 //!
@@ -89,10 +110,9 @@
 //! vector. An evicted home keeps its sink, so its drain cursor stays
 //! valid across eviction.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use safehome_sim::EventQueue;
 use safehome_types::sink::{self, RunCounters, TraceSink};
@@ -201,10 +221,9 @@ pub struct ServiceResult {
     pub peak_resident_homes: usize,
     /// Approximate heap bytes one *resident* home pins: the event queue's
     /// buckets and slab, the arrival lane and the device slots. The
-    /// largest of the samples taken from the first home each worker
-    /// builds, from every home the runner evicts and from every home when
-    /// it finishes, where its queue's slab has reached the most events
-    /// it held at once.
+    /// largest of the samples taken from every home the runner evicts
+    /// and from every home when it finishes, where its queue's slab has
+    /// reached the most events it held at once.
     pub approx_resident_home_bytes: usize,
     /// Approximate heap bytes one *evicted* home retains (largest
     /// observed sample: the kept runtime core — engine history, sink
@@ -300,25 +319,21 @@ struct UnitMeta {
     home: usize,
     /// `None`: the whole home. `Some(c)`: cluster `c` of its partition.
     cluster: Option<usize>,
-    /// The worker that builds the unit (see [`ServiceResult::steals`]).
-    built_by: usize,
+    /// Statically evictable: eviction enabled, a whole home and no
+    /// failure plan (hence no probe loops or injections). The dynamic
+    /// half — quiescent, only future submissions pending — is re-checked
+    /// at every park. A split home stays hot until its merge.
+    evictable: bool,
 }
 
-/// One unit's slot: its execution state plus the per-home latency drain
-/// cursor, which survives eviction with the sink it indexes.
-struct HomeSlot<'a> {
-    cell: Cell<'a>,
-    drained: usize,
-    /// Statically evictable: eviction enabled and no failure plan (hence
-    /// no probe loops or injections). The dynamic half — quiescent, only
-    /// future submissions pending — is re-checked at every park. Always
-    /// `false` for cluster units: a split home stays hot until its merge.
-    evictable_spec: bool,
-}
-
+/// A unit's execution state.
+#[derive(Default)]
 enum Cell<'a> {
-    /// Transient placeholder during construction and state swaps.
-    Vacant,
+    /// Parked at time zero until its first pop builds it.
+    Unbuilt,
+    /// In a worker's hand, between `take` and `put`.
+    #[default]
+    Taken,
     // Boxed: the live runtime dominates the enum (~1.5 KiB vs the
     // ~400 B terminal variants); the indirection keeps the per-home
     // slot vector small once homes finish or evict.
@@ -329,9 +344,12 @@ enum Cell<'a> {
     Evicted(EvictedHome<'a>),
     /// A finished cluster sub-run, waiting for its siblings.
     FinishedSub(Box<SubRun>),
+    /// A split home's finished sub-runs, in the hand of the worker that
+    /// merges them.
+    Merging(Vec<SubRun>),
     Finished {
         // Boxed for the same reason as `Live`: terminal counters carry
-        // the full latency vector, dwarfing `Vacant`/`Evicted`.
+        // the full latency vector, dwarfing `Taken`/`Evicted`.
         counters: Box<RunCounters>,
         completed: bool,
     },
@@ -377,56 +395,284 @@ fn is_cold(d: &Driver<'_, RunCounters>) -> bool {
     d.engine().quiescent() && d.backend().only_submits_pending()
 }
 
-/// The runner's shared scheduling state.
+/// A unit's row in the runner's table.
 #[derive(Default)]
-struct Scheduler {
-    /// Timer wheel of parked units, shared by every worker.
+struct Slot<'a> {
+    cell: Cell<'a>,
+    /// Latency samples already drained into a worker's histogram. It
+    /// survives eviction with the sink it indexes.
+    drained: usize,
+    /// The unit's key in [`Runner::candidates`] while it is one.
+    score: Option<u64>,
+    /// The worker whose pop built the unit.
+    built_by: Option<usize>,
+}
+
+/// A unit between `take` and `put`: off the wheel, out of the table, in
+/// one worker's hand.
+#[derive(Default)]
+struct Hand<'a> {
+    unit: usize,
+    cell: Cell<'a>,
+    drained: usize,
+    /// Left for `put` to count: the resident bytes of a home that
+    /// finished in this run, and whether a merge fell back to a
+    /// sequential re-run.
+    resident_bytes: usize,
+    fell_back: bool,
+}
+
+impl<'a> Hand<'a> {
+    /// The lock-free middle of a worker's loop: builds, resumes, slices,
+    /// finishes or merges the unit, draining its latencies into `hist`.
+    fn run(&mut self, ctx: &ServiceCtx<'a>, stats: &mut WorkerStats, hist: &mut LatencyHistogram) {
+        let meta = ctx.units[self.unit];
+        let spec = ctx.unit_spec(self.unit);
+        let cell = match std::mem::take(&mut self.cell) {
+            Cell::Evicted(ev) => Cell::Live(Box::new(ev.resume(spec))),
+            cell => cell,
+        };
+        self.cell = match cell {
+            // A build pop parks the unit without a slice. A cluster
+            // sub-driver is traced (funnel log + pop-segmented sink) so
+            // the merge can fold the home back byte-identically.
+            Cell::Unbuilt if meta.cluster.is_some() => {
+                Cell::LiveSub(Box::new(Driver::with_sink_traced(spec, SubRunLog::new())))
+            }
+            Cell::Unbuilt => Cell::Live(Box::new(Driver::with_sink(spec, RunCounters::new()))),
+            Cell::Live(mut d) => {
+                if advance_slice(&mut d, ctx.epoch_ms) {
+                    // Progressive latency drain: only the routines that
+                    // finished in this slice, so worker memory stays flat
+                    // over the horizon.
+                    drain(&d.sink().latencies_ms, &mut self.drained, hist);
+                    Cell::Live(d)
+                } else {
+                    self.resident_bytes = d.backend().approx_resident_bytes();
+                    let (counters, _, completed) = d.into_output();
+                    self.finish(counters, completed, stats, hist)
+                }
+            }
+            Cell::LiveSub(mut d) => {
+                if advance_slice(&mut d, ctx.epoch_ms) {
+                    Cell::LiveSub(d)
+                } else {
+                    let funnel = d.backend_mut().take_funnel_log();
+                    let (log, _, completed) = d.into_output();
+                    Cell::FinishedSub(Box::new(SubRun {
+                        log,
+                        funnel,
+                        completed,
+                    }))
+                }
+            }
+            // Folds a split home's sub-runs back into the one
+            // `RunCounters` the sequential path would have produced. If
+            // the merge declines (a sub-run stalled — the planner's gate
+            // makes that exceptional), the home is re-run sequentially
+            // from scratch: slower, never wrong.
+            Cell::Merging(subs) => {
+                let spec = &ctx.specs[meta.home];
+                let partition = ctx.partitions[meta.home].as_ref();
+                match merge_sub_runs(spec, partition.expect("a split home"), subs) {
+                    Some(counters) => self.finish(counters, true, stats, hist),
+                    None => {
+                        self.fell_back = true;
+                        let mut d = Driver::with_sink(spec, RunCounters::new());
+                        let completed = d.run_to_quiescence();
+                        self.finish(d.into_output().0, completed, stats, hist)
+                    }
+                }
+            }
+            _ => unreachable!("unit {} was taken with nothing to run", self.unit),
+        };
+    }
+
+    /// A home's terminal counters, with every sample past its drain
+    /// cursor recorded: the last slice's, or for a split home all of
+    /// them, since sub-runs record none and the merge rebuilds the exact
+    /// sequential latency vector.
+    fn finish(
+        &mut self,
+        counters: RunCounters,
+        completed: bool,
+        stats: &mut WorkerStats,
+        hist: &mut LatencyHistogram,
+    ) -> Cell<'a> {
+        drain(&counters.latencies_ms, &mut self.drained, hist);
+        stats.homes_run += 1;
+        Cell::Finished {
+            counters: Box::new(counters),
+            completed,
+        }
+    }
+}
+
+/// Records the samples past a unit's drain cursor and moves the cursor
+/// to the end.
+fn drain(latencies_ms: &[u64], drained: &mut usize, hist: &mut LatencyHistogram) {
+    for &ms in &latencies_ms[*drained..] {
+        hist.record(ms);
+    }
+    *drained = latencies_ms.len();
+}
+
+/// Everything the workers share and change, behind the one lock.
+#[derive(Default)]
+struct Runner<'a> {
+    /// Timer wheel of parked units.
     wheel: EventQueue<usize>,
-    /// Parked units currently satisfying the full evictability
-    /// condition, keyed by eviction score — `last` is the best victim.
-    /// Kept exactly in sync with `scores` below: every mutation goes
-    /// through [`Self::park_candidate`] / [`Self::unpark_candidate`],
-    /// which compact a unit's previous entry on re-park, so a unit has
-    /// at most one live entry and an entry can never outlive a pop or
-    /// an eviction race (entries used to linger when an evicted home's
-    /// concurrent re-park re-inserted it; consumers still re-validate
-    /// under the slot lock before acting, as the wheel pop itself can
-    /// race the claim).
-    parked: BTreeSet<(u64, usize)>,
-    /// Side index: unit → its current score key in `parked`. The single
-    /// source of truth for membership, enabling removal by unit alone.
-    scores: BTreeMap<usize, u64>,
+    slots: Vec<Slot<'a>>,
+    /// Parked units that are evictable right now, keyed by eviction
+    /// score (the next-event time, so `last` is the coldest home and the
+    /// best victim). Each entry mirrors its unit's [`Slot::score`].
+    candidates: BTreeSet<(u64, usize)>,
+    /// Split homes whose every sub-run has finished, ready to merge.
+    merges: Vec<Hand<'a>>,
+    max_resident: Option<usize>,
+    /// Homes whose primary unit has not finished; workers exit at zero.
+    unfinished: usize,
+    /// A worker panicked; the others exit at their next take.
+    abandoned: bool,
+    resident: usize,
+    peak_resident: usize,
+    evictions: u64,
+    recoveries: u64,
+    intra_homes: u64,
+    intra_fallbacks: u64,
+    resident_bytes: usize,
+    evicted_bytes: usize,
 }
 
-impl Scheduler {
-    /// Registers (or refreshes) a parked eviction candidate, compacting
-    /// any stale entry the unit left behind.
-    fn park_candidate(&mut self, unit: usize, score: u64) {
-        if let Some(old) = self.scores.insert(unit, score) {
-            self.parked.remove(&(old, unit));
+impl<'a> Runner<'a> {
+    /// Hands worker `w` a ready merge, or else pops the earliest parked
+    /// unit, withdraws its eviction candidacy and moves its cell into the
+    /// hand. A unit about to be built or resumed counts as resident from
+    /// here; any other pop is a slice, counted in `stats`.
+    fn take(&mut self, w: usize, stats: &mut WorkerStats) -> Option<Hand<'a>> {
+        if let Some(merge) = self.merges.pop() {
+            return Some(merge);
         }
-        self.parked.insert((score, unit));
+        let (_, unit) = self.wheel.pop()?;
+        let slot = &mut self.slots[unit];
+        if let Some(score) = slot.score.take() {
+            self.candidates.remove(&(score, unit));
+        }
+        let built_by = *slot.built_by.get_or_insert(w);
+        let hand = Hand {
+            unit,
+            cell: std::mem::take(&mut slot.cell),
+            drained: slot.drained,
+            ..Hand::default()
+        };
+        if !matches!(hand.cell, Cell::Unbuilt) {
+            stats.slices_run += 1;
+            stats.steals += u64::from(built_by != w);
+        }
+        if matches!(hand.cell, Cell::Unbuilt | Cell::Evicted(_)) {
+            self.recoveries += u64::from(matches!(hand.cell, Cell::Evicted(_)));
+            self.resident += 1;
+            self.peak_resident = self.peak_resident.max(self.resident);
+        }
+        Some(hand)
     }
 
-    /// Withdraws a unit's candidate entry (pop or eviction claim).
-    /// `false` when it had none — the usual race outcome.
-    fn unpark_candidate(&mut self, unit: usize) -> bool {
-        match self.scores.remove(&unit) {
-            Some(score) => self.parked.remove(&(score, unit)),
-            None => false,
+    /// Stores a hand's cell back in the table, parks or finishes its
+    /// unit (queueing the merge when it was a split home's last sub-run
+    /// to finish), and ends with the eviction sweep.
+    fn put(&mut self, ctx: &ServiceCtx<'a>, hand: Hand<'a>) {
+        let meta = ctx.units[hand.unit];
+        match &hand.cell {
+            Cell::Live(d) => {
+                let evictable = meta.evictable && is_cold(d);
+                self.park(hand.unit, d.backend().next_event_at(), evictable);
+            }
+            Cell::LiveSub(d) => self.park(hand.unit, d.backend().next_event_at(), false),
+            Cell::FinishedSub(_) => self.resident -= 1,
+            Cell::Finished { .. } if meta.cluster.is_some() => {
+                self.unfinished -= 1;
+                if hand.fell_back {
+                    self.intra_fallbacks += 1;
+                } else {
+                    self.intra_homes += 1;
+                }
+            }
+            Cell::Finished { .. } => {
+                self.unfinished -= 1;
+                self.resident -= 1;
+                self.resident_bytes = self.resident_bytes.max(hand.resident_bytes);
+            }
+            _ => unreachable!("unit {} came back with nothing to store", hand.unit),
+        }
+        let sub_finished = matches!(hand.cell, Cell::FinishedSub(_));
+        let slot = &mut self.slots[hand.unit];
+        slot.cell = hand.cell;
+        slot.drained = hand.drained;
+        if sub_finished {
+            self.queue_merge(&ctx.home_units[meta.home]);
+        }
+        self.evict_over_budget();
+        #[cfg(test)]
+        self.check(ctx);
+    }
+
+    /// Parks `unit` on the wheel at its next event. An `evictable` unit
+    /// also becomes an eviction candidate, scored (higher = better
+    /// victim) by that next-event time, so the coldest home goes first.
+    fn park(&mut self, unit: usize, next: Option<Timestamp>, evictable: bool) {
+        let next = next.unwrap_or(Timestamp::ZERO);
+        self.wheel.schedule(next, unit);
+        if evictable {
+            self.slots[unit].score = Some(next.as_millis());
+            self.candidates.insert((next.as_millis(), unit));
         }
     }
 
-    /// The highest-scored candidate, if any.
-    fn best_victim(&self) -> Option<(u64, usize)> {
-        self.parked.last().copied()
+    /// Once every cluster unit in `units` has finished, moves the
+    /// sub-runs out of the table into a merge hand for the home's
+    /// primary unit (cluster 0), where the merged counters will live.
+    fn queue_merge(&mut self, units: &Range<usize>) {
+        let slots = &mut self.slots[units.clone()];
+        if slots.iter().all(|s| matches!(s.cell, Cell::FinishedSub(_))) {
+            let subs = slots.iter_mut().map(|s| match std::mem::take(&mut s.cell) {
+                Cell::FinishedSub(sr) => *sr,
+                _ => unreachable!(),
+            });
+            self.merges.push(Hand {
+                unit: units.start,
+                cell: Cell::Merging(subs.collect()),
+                ..Hand::default()
+            });
+        }
+    }
+
+    /// Evicts the best-scored candidate first while the resident count
+    /// exceeds the budget. A candidate is always parked, so no worker
+    /// holds it and it is still cold.
+    fn evict_over_budget(&mut self) {
+        let Some(max) = self.max_resident else { return };
+        while self.resident > max {
+            let Some((_, unit)) = self.candidates.pop_last() else {
+                return;
+            };
+            let slot = &mut self.slots[unit];
+            slot.score = None;
+            let Cell::Live(d) = std::mem::take(&mut slot.cell) else {
+                unreachable!("eviction candidate {unit} is not parked live")
+            };
+            debug_assert!(!d.is_done() && is_cold(&d), "candidate {unit} warmed up");
+            self.resident_bytes = self.resident_bytes.max(d.backend().approx_resident_bytes());
+            let evicted = EvictedHome::evict(*d);
+            self.evicted_bytes = self.evicted_bytes.max(evicted.approx_bytes());
+            slot.cell = Cell::Evicted(evicted);
+            self.resident -= 1;
+            self.evictions += 1;
+        }
     }
 }
 
-/// Shared run context: everything the workers touch. Lock order: a
-/// worker holds at most one slot lock and the scheduler lock, and only
-/// ever acquires the scheduler lock *while holding* a slot lock (the
-/// re-park path) — never the reverse — so there is no cycle.
+/// The run's fixed inputs, which workers read without the lock, and the
+/// [`Runner`] behind it.
 struct ServiceCtx<'a> {
     specs: &'a [RunSpec],
     /// Per home: the cluster sub-specs when the planner split it
@@ -435,35 +681,14 @@ struct ServiceCtx<'a> {
     /// Per home: the planner's partition, `None` for sequential homes.
     partitions: &'a [Option<HomePartition>],
     /// All schedulable units, grouped by home (`home_units[h]` indexes
-    /// a contiguous range of `units`/`slots`).
+    /// a contiguous range of `units` and of the runner's slots).
     units: Vec<UnitMeta>,
     home_units: Vec<Range<usize>>,
-    /// Per home: unfinished cluster units; the worker that takes it to
-    /// zero performs the merge. Unused for sequential homes.
-    pending_units: Vec<AtomicUsize>,
-    sched: Mutex<Scheduler>,
-    slots: Vec<Mutex<HomeSlot<'a>>>,
     epoch_ms: u64,
-    max_resident: Option<usize>,
-    /// Unfinished units; workers exit when it hits zero.
-    live: AtomicUsize,
-    resident: AtomicUsize,
-    peak_resident: AtomicUsize,
-    evictions: AtomicU64,
-    recoveries: AtomicU64,
-    intra_homes: AtomicU64,
-    intra_fallbacks: AtomicU64,
-    resident_bytes: AtomicUsize,
-    evicted_bytes: AtomicUsize,
-    barrier: Barrier,
+    runner: Mutex<Runner<'a>>,
 }
 
 impl<'a> ServiceCtx<'a> {
-    fn note_resident(&self) {
-        let now = self.resident.fetch_add(1, Ordering::SeqCst) + 1;
-        self.peak_resident.fetch_max(now, Ordering::SeqCst);
-    }
-
     /// The spec a unit executes: the home's own, or its cluster's
     /// projection.
     fn unit_spec(&self, unit: usize) -> &'a RunSpec {
@@ -474,24 +699,25 @@ impl<'a> ServiceCtx<'a> {
         }
     }
 
-    /// Parks `unit` on the wheel at its next event. An `evictable` unit
-    /// also becomes an eviction candidate, scored (higher = better
-    /// victim) by that next-event time, so the coldest home goes first.
-    fn park(&self, unit: usize, next: Timestamp, evictable: bool) {
-        let mut sched = self.sched.lock().expect("scheduler");
-        sched.wheel.schedule(next, unit);
-        if evictable {
-            sched.park_candidate(unit, next.as_millis());
-        }
+    fn lock(&self) -> MutexGuard<'_, Runner<'a>> {
+        self.runner
+            .lock()
+            .expect("no worker panicked holding the runner")
     }
+}
 
-    /// Pops the earliest parked unit, withdrawing its eviction
-    /// candidacy.
-    fn pop(&self) -> Option<usize> {
-        let mut sched = self.sched.lock().expect("scheduler");
-        let (_, unit) = sched.wheel.pop()?;
-        sched.unpark_candidate(unit);
-        Some(unit)
+/// Sets [`Runner::abandoned`] when its worker unwinds, so the other
+/// workers stop waiting for the unit it held.
+struct AbandonOnPanic<'c, 'a>(&'c ServiceCtx<'a>);
+
+impl Drop for AbandonOnPanic<'_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            // Setting a flag is safe even on a runner a panic left
+            // half-updated, and the flag is all the others read next.
+            let runner = self.0.runner.lock();
+            runner.unwrap_or_else(PoisonError::into_inner).abandoned = true;
+        }
     }
 }
 
@@ -512,25 +738,27 @@ where
         .map(|home| home_seed(fleet_seed, home as u64))
         .collect();
 
-    // Phase 1 — build the specs, in parallel over the same contiguous
-    // near-equal split the workers later build their homes over. Spec
-    // construction is pure in (home, seed), so the split is a
-    // throughput detail.
-    let bounds: Vec<(usize, usize)> = (0..workers)
-        .map(|w| (w * homes / workers, (w + 1) * homes / workers))
-        .collect();
+    // Phase 1 — build every spec before any worker starts, in parallel
+    // over near-equal contiguous ranges. Spec construction is pure in
+    // (home, seed), so the split is a throughput detail.
     let specs: Vec<RunSpec> = if workers == 1 {
+        // On the calling thread, not a spawned one. perfbench re-times
+        // the spec build on its main thread after this call, for its
+        // `setup_s`, and that build read 0.048–0.057 s with this one on
+        // a spawned thread against 0.040–0.041 s here (4 pairs, 2-vCPU
+        // host); building each spec on its unit's first pop read +26% on
+        // `service_day` and +31% on `workshop_intra`. The allocator's
+        // per-thread arenas are the likely cause, unverified.
         (0..homes)
             .map(|home| make_spec(home, seeds[home]))
             .collect()
     } else {
         std::thread::scope(|scope| {
-            let handles: Vec<_> = bounds
-                .iter()
-                .map(|&(lo, hi)| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
                     let seeds = &seeds;
                     scope.spawn(move || {
-                        (lo..hi)
+                        (w * homes / workers..(w + 1) * homes / workers)
                             .map(|home| make_spec(home, seeds[home]))
                             .collect::<Vec<RunSpec>>()
                     })
@@ -565,76 +793,66 @@ where
     let mut units = Vec::with_capacity(homes);
     let mut home_units = Vec::with_capacity(homes);
     for (home, p) in partitions.iter().enumerate() {
-        let built_by = bounds.partition_point(|&(_, hi)| hi <= home);
         let start = units.len();
         match p {
             Some(p) => units.extend((0..p.clusters.len()).map(|c| UnitMeta {
                 home,
                 cluster: Some(c),
-                built_by,
+                evictable: false,
             })),
             None => units.push(UnitMeta {
                 home,
                 cluster: None,
-                built_by,
+                evictable: config.max_resident.is_some() && specs[home].failures.is_empty(),
             }),
         }
         home_units.push(start..units.len());
     }
 
+    // Phase 2 — resident execution: every unit parked unbuilt at time
+    // zero, in unit order, for its first pop to build.
+    let mut wheel = EventQueue::new();
+    let slots = (0..units.len())
+        .map(|unit| {
+            wheel.schedule(Timestamp::ZERO, unit);
+            Slot {
+                cell: Cell::Unbuilt,
+                ..Slot::default()
+            }
+        })
+        .collect();
     let ctx = ServiceCtx {
-        slots: units
-            .iter()
-            .map(|meta| {
-                let spec = &specs[meta.home];
-                Mutex::new(HomeSlot {
-                    cell: Cell::Vacant,
-                    drained: 0,
-                    evictable_spec: meta.cluster.is_none()
-                        && config.max_resident.is_some()
-                        && spec.failures.is_empty(),
-                })
-            })
-            .collect(),
-        pending_units: home_units
-            .iter()
-            .map(|r| AtomicUsize::new(r.len()))
-            .collect(),
-        live: AtomicUsize::new(units.len()),
         units,
         home_units,
         specs: &specs,
         sub_specs: &sub_specs,
         partitions: &partitions,
-        sched: Mutex::new(Scheduler::default()),
         epoch_ms: config.epoch.as_millis().max(1),
-        max_resident: config.max_resident,
-        resident: AtomicUsize::new(0),
-        peak_resident: AtomicUsize::new(0),
-        evictions: AtomicU64::new(0),
-        recoveries: AtomicU64::new(0),
-        intra_homes: AtomicU64::new(0),
-        intra_fallbacks: AtomicU64::new(0),
-        resident_bytes: AtomicUsize::new(0),
-        evicted_bytes: AtomicUsize::new(0),
-        barrier: Barrier::new(workers),
+        runner: Mutex::new(Runner {
+            wheel,
+            slots,
+            max_resident: config.max_resident,
+            unfinished: homes,
+            ..Runner::default()
+        }),
     };
-
-    // Phase 2 — resident execution.
     let outputs: Vec<(LatencyHistogram, WorkerStats)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let ctx = &ctx;
-                let bounds = &bounds;
-                scope.spawn(move || service_worker(ctx, w, bounds[w]))
+                scope.spawn(move || service_worker(ctx, w))
             })
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("service worker panicked"))
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
             .collect()
     });
 
+    let runner = ctx.runner.into_inner().expect("no worker panicked");
     let mut result = ServiceResult {
         homes: Vec::with_capacity(homes),
         workers,
@@ -642,13 +860,13 @@ where
         latency: LatencyHistogram::new(),
         slices: 0,
         worker_stats: Vec::with_capacity(workers),
-        evictions: ctx.evictions.load(Ordering::SeqCst),
-        recoveries: ctx.recoveries.load(Ordering::SeqCst),
-        peak_resident_homes: ctx.peak_resident.load(Ordering::SeqCst),
-        approx_resident_home_bytes: ctx.resident_bytes.load(Ordering::SeqCst),
-        approx_evicted_home_bytes: ctx.evicted_bytes.load(Ordering::SeqCst),
-        intra_homes: ctx.intra_homes.load(Ordering::SeqCst),
-        intra_fallbacks: ctx.intra_fallbacks.load(Ordering::SeqCst),
+        evictions: runner.evictions,
+        recoveries: runner.recoveries,
+        peak_resident_homes: runner.peak_resident,
+        approx_resident_home_bytes: runner.resident_bytes,
+        approx_evicted_home_bytes: runner.evicted_bytes,
+        intra_homes: runner.intra_homes,
+        intra_fallbacks: runner.intra_fallbacks,
     };
     for (hist, stats) in outputs {
         result.latency.merge(&hist);
@@ -656,99 +874,49 @@ where
         result.worker_stats.push(stats);
     }
     // A home's terminal counters live in its *primary* unit slot (its
-    // only unit, or cluster 0 — where the merging worker parked them).
-    let home_units = ctx.home_units.clone();
-    let mut slots: Vec<Option<HomeSlot>> = ctx
-        .slots
-        .into_iter()
-        .map(|s| Some(s.into_inner().expect("no worker holds a slot now")))
-        .collect();
-    for (home, range) in home_units.iter().enumerate() {
-        let slot = slots[range.start].take().expect("primary slot present");
-        match slot.cell {
-            Cell::Finished {
-                counters,
-                completed,
-            } => result.homes.push(HomeRun {
-                home,
-                seed: seeds[home],
-                completed,
-                counters: *counters,
-            }),
-            _ => unreachable!("home {home} did not reach a terminal state"),
-        }
+    // only unit, or cluster 0 — where the merge left them).
+    let mut slots = runner.slots;
+    for (home, range) in ctx.home_units.iter().enumerate() {
+        let Cell::Finished {
+            counters,
+            completed,
+        } = std::mem::take(&mut slots[range.start].cell)
+        else {
+            unreachable!("home {home} did not reach a terminal state")
+        };
+        result.homes.push(HomeRun {
+            home,
+            seed: seeds[home],
+            completed,
+            counters: *counters,
+        });
     }
     result
 }
 
-/// One worker: builds its own contiguous range of homes, then pops
-/// slices off the shared wheel until every unit has finished.
-fn service_worker<'a>(
-    ctx: &ServiceCtx<'a>,
-    w: usize,
-    (lo, hi): (usize, usize),
-) -> (LatencyHistogram, WorkerStats) {
+/// One worker: takes units off the shared wheel, runs them with no lock
+/// held and puts them back, until every home has finished or another
+/// worker panicked.
+fn service_worker<'a>(ctx: &ServiceCtx<'a>, w: usize) -> (LatencyHistogram, WorkerStats) {
+    let _abandon = AbandonOnPanic(ctx);
     let mut stats = WorkerStats::default();
     let mut hist = LatencyHistogram::new();
-
-    for home in lo..hi {
-        for unit in ctx.home_units[home].clone() {
-            let meta = ctx.units[unit];
-            let spec = ctx.unit_spec(unit);
-            if meta.cluster.is_some() {
-                // A cluster sub-driver: traced (funnel log + pop-segmented
-                // sink) so the finishing worker can merge the home back
-                // byte-identically. Never evictable — split homes stay
-                // hot until their merge.
-                let d = Driver::with_sink_traced(spec, SubRunLog::new());
-                let next = d.backend().next_event_at().unwrap_or(Timestamp::ZERO);
-                ctx.slots[unit].lock().expect("slot").cell = Cell::LiveSub(Box::new(d));
-                ctx.note_resident();
-                ctx.park(unit, next, false);
-                continue;
-            }
-            let d = Driver::with_sink(spec, RunCounters::new());
-            if home == lo {
-                ctx.resident_bytes
-                    .fetch_max(d.backend().approx_resident_bytes(), Ordering::SeqCst);
-            }
-            let next = d.backend().next_event_at().unwrap_or(Timestamp::ZERO);
-            let evictable = {
-                let mut slot = ctx.slots[unit].lock().expect("slot");
-                let evictable = slot.evictable_spec && is_cold(&d);
-                slot.cell = Cell::Live(Box::new(d));
-                evictable
-            };
-            ctx.note_resident();
-            ctx.park(unit, next, evictable);
-            // Evict-at-birth keeps even the construction phase inside the
-            // budget: a fresh home is already cold (nothing submitted
-            // yet), so it can be evicted before its first slice.
-            evict_over_budget(ctx);
-        }
-    }
-
-    // Every home parked before anyone pops.
-    ctx.barrier.wait();
-
     loop {
-        match ctx.pop() {
-            Some(unit) => {
-                stats.steals += u64::from(ctx.units[unit].built_by != w);
-                run_slice(ctx, unit, &mut stats, &mut hist);
-                evict_over_budget(ctx);
-            }
-            None => {
-                if ctx.live.load(Ordering::Acquire) == 0 {
-                    break;
-                }
-                // Every remaining home is mid-slice on another worker;
-                // its re-park (or finish) is imminent.
-                std::thread::yield_now();
-            }
+        let mut runner = ctx.lock();
+        if runner.abandoned || runner.unfinished == 0 {
+            return (hist, stats);
         }
+        let Some(mut hand) = runner.take(w, &mut stats) else {
+            // Every remaining unit is in another worker's hand; its put
+            // is imminent.
+            drop(runner);
+            std::thread::yield_now();
+            continue;
+        };
+        drop(runner);
+        hand.run(ctx, &mut stats, &mut hist);
+        ctx.lock().put(ctx, hand);
     }
-    (hist, stats)
 }
 
 /// Advances one epoch slice: runs `d` through every event strictly
@@ -757,228 +925,27 @@ fn service_worker<'a>(
 /// timestamp: concurrent pops may have clamped it forward, and slice
 /// structure must stay a property of the unit and the epoch grid alone.
 ///
-/// Returns `Some(next_event)` when the unit should re-park, `None` when
-/// it reached a terminal state. (A unit that could already report
-/// quiescence but still holds an immaterial probe event parks at most
-/// once more — its next slice's first step resolves to done without
+/// Returns `true` when the unit should re-park at its next event,
+/// `false` when it reached a terminal state. (A unit that could already
+/// report quiescence but still holds an immaterial probe event parks at
+/// most once more — its next slice's first step resolves to done without
 /// popping the probe.)
-fn advance_slice<S: TraceSink>(d: &mut Driver<'_, S>, epoch_ms: u64) -> Option<Timestamp> {
+fn advance_slice<S: TraceSink>(d: &mut Driver<'_, S>, epoch_ms: u64) -> bool {
     let end = match d.backend().next_event_at() {
         Some(next) => Timestamp::from_millis((next.as_millis() / epoch_ms + 1) * epoch_ms),
         None => Timestamp::ZERO, // first step observes quiescence
     };
     loop {
         if d.is_done() {
-            return None;
+            return false;
         }
         match d.backend().next_event_at() {
-            Some(next) if next >= end => return Some(next),
+            Some(next) if next >= end => return true,
             _ => match d.step() {
                 Step::Event(_) | Step::Idle => {}
-                Step::Quiescent | Step::Stalled => return None,
+                Step::Quiescent | Step::Stalled => return false,
             },
         }
-    }
-}
-
-/// Runs one epoch slice of `unit`, resuming it first if it was
-/// evicted.
-fn run_slice<'a>(
-    ctx: &ServiceCtx<'a>,
-    unit: usize,
-    stats: &mut WorkerStats,
-    hist: &mut LatencyHistogram,
-) {
-    let meta = ctx.units[unit];
-    if meta.cluster.is_some() {
-        return run_sub_slice(ctx, unit, stats, hist);
-    }
-    let mut slot = ctx.slots[unit].lock().expect("slot");
-    let slot = &mut *slot;
-    let evictable_spec = slot.evictable_spec;
-
-    if matches!(slot.cell, Cell::Evicted(_)) {
-        let Cell::Evicted(ev) = std::mem::replace(&mut slot.cell, Cell::Vacant) else {
-            unreachable!()
-        };
-        slot.cell = Cell::Live(Box::new(ev.resume(&ctx.specs[meta.home])));
-        ctx.recoveries.fetch_add(1, Ordering::SeqCst);
-        ctx.note_resident();
-    }
-    stats.slices_run += 1;
-
-    let Cell::Live(d) = &mut slot.cell else {
-        unreachable!("popped unit {unit} is neither live nor evicted")
-    };
-    if let Some(next) = advance_slice(d, ctx.epoch_ms) {
-        ctx.park(unit, next, evictable_spec && is_cold(d));
-    }
-
-    if d.is_done() {
-        ctx.resident_bytes
-            .fetch_max(d.backend().approx_resident_bytes(), Ordering::SeqCst);
-        let Cell::Live(d) = std::mem::replace(&mut slot.cell, Cell::Vacant) else {
-            unreachable!()
-        };
-        let (counters, _, completed) = d.into_output();
-        // Catch any samples recorded after the home's last drain.
-        for &ms in &counters.latencies_ms[slot.drained..] {
-            hist.record(ms);
-        }
-        slot.drained = counters.latencies_ms.len();
-        slot.cell = Cell::Finished {
-            counters: Box::new(counters),
-            completed,
-        };
-        ctx.resident.fetch_sub(1, Ordering::SeqCst);
-        stats.homes_run += 1;
-        ctx.live.fetch_sub(1, Ordering::Release);
-    } else {
-        // Progressive latency drain: only the routines that finished in
-        // this slice, so worker memory stays flat over the horizon.
-        let finished = &d.sink().latencies_ms;
-        for &ms in &finished[slot.drained..] {
-            hist.record(ms);
-        }
-        slot.drained = finished.len();
-    }
-}
-
-/// Runs one epoch slice of a cluster sub-unit: same slice discipline as
-/// a whole home, recording sink, never evicted. The worker that
-/// finishes the home's last cluster performs the merge — after this
-/// unit's slot lock is released, since the merge relocks every sibling
-/// slot (including, possibly, this one).
-fn run_sub_slice<'a>(
-    ctx: &ServiceCtx<'a>,
-    unit: usize,
-    stats: &mut WorkerStats,
-    hist: &mut LatencyHistogram,
-) {
-    stats.slices_run += 1;
-    let finished = {
-        let mut slot = ctx.slots[unit].lock().expect("slot");
-        let Cell::LiveSub(d) = &mut slot.cell else {
-            unreachable!("popped cluster unit {unit} is not a live sub-driver")
-        };
-        match advance_slice(d, ctx.epoch_ms) {
-            Some(next) => {
-                ctx.park(unit, next, false);
-                false
-            }
-            None => {
-                let Cell::LiveSub(mut d) = std::mem::replace(&mut slot.cell, Cell::Vacant) else {
-                    unreachable!()
-                };
-                let funnel = d.backend_mut().take_funnel_log();
-                let (log, _, completed) = d.into_output();
-                slot.cell = Cell::FinishedSub(Box::new(SubRun {
-                    log,
-                    funnel,
-                    completed,
-                }));
-                ctx.resident.fetch_sub(1, Ordering::SeqCst);
-                true
-            }
-        }
-    };
-    if finished {
-        let home = ctx.units[unit].home;
-        let remaining = ctx.pending_units[home].fetch_sub(1, Ordering::SeqCst) - 1;
-        if remaining == 0 {
-            merge_home(ctx, home, stats, hist);
-        }
-        ctx.live.fetch_sub(1, Ordering::Release);
-    }
-}
-
-/// Folds a split home's finished sub-runs back into the one
-/// [`RunCounters`] the sequential path would have produced, parking it
-/// in the home's primary unit slot. Runs on whichever worker finished
-/// the last cluster. If the merge declines (a sub-run stalled — the
-/// planner's gate makes that exceptional), the home is re-run
-/// sequentially from scratch: slower, never wrong.
-fn merge_home<'a>(
-    ctx: &ServiceCtx<'a>,
-    home: usize,
-    stats: &mut WorkerStats,
-    hist: &mut LatencyHistogram,
-) {
-    let range = ctx.home_units[home].clone();
-    let mut subs = Vec::with_capacity(range.len());
-    for u in range.clone() {
-        let mut slot = ctx.slots[u].lock().expect("slot");
-        let Cell::FinishedSub(sr) = std::mem::replace(&mut slot.cell, Cell::Vacant) else {
-            unreachable!("sibling unit {u} of merged home {home} is not a finished sub-run")
-        };
-        subs.push(*sr);
-    }
-    let spec = &ctx.specs[home];
-    let partition = ctx.partitions[home]
-        .as_ref()
-        .expect("merged home has a partition");
-    let (counters, completed) = match merge_sub_runs(spec, partition, subs) {
-        Some(counters) => {
-            ctx.intra_homes.fetch_add(1, Ordering::SeqCst);
-            (counters, true)
-        }
-        None => {
-            ctx.intra_fallbacks.fetch_add(1, Ordering::SeqCst);
-            let mut d = Driver::with_sink(spec, RunCounters::new());
-            let completed = d.run_to_quiescence();
-            let (counters, _, _) = d.into_output();
-            (counters, completed)
-        }
-    };
-    // Split homes drain latencies only here, all at once: sub-runs
-    // record no samples (their sink is the call log), and the merged
-    // counters rebuild the exact sequential latency vector.
-    for &ms in &counters.latencies_ms {
-        hist.record(ms);
-    }
-    let mut slot = ctx.slots[range.start].lock().expect("slot");
-    slot.drained = counters.latencies_ms.len();
-    slot.cell = Cell::Finished {
-        counters: Box::new(counters),
-        completed,
-    };
-    stats.homes_run += 1;
-}
-
-/// Evicts best-scored candidate first (see [`ServiceCtx::park`]) while
-/// the fleet-wide resident count exceeds the budget. The claimed
-/// candidate is re-validated under its slot lock: a wheel pop can race
-/// the claim.
-fn evict_over_budget(ctx: &ServiceCtx<'_>) {
-    let Some(max) = ctx.max_resident else { return };
-    while ctx.resident.load(Ordering::SeqCst) > max {
-        let unit = {
-            let mut sched = ctx.sched.lock().expect("scheduler");
-            let Some((_, unit)) = sched.best_victim() else {
-                return;
-            };
-            sched.unpark_candidate(unit);
-            unit
-        };
-        let mut slot = ctx.slots[unit].lock().expect("slot");
-        let still_cold = match &slot.cell {
-            Cell::Live(d) => !d.is_done() && is_cold(d),
-            _ => false,
-        };
-        if !still_cold {
-            continue;
-        }
-        let Cell::Live(d) = std::mem::replace(&mut slot.cell, Cell::Vacant) else {
-            unreachable!()
-        };
-        ctx.resident_bytes
-            .fetch_max(d.backend().approx_resident_bytes(), Ordering::SeqCst);
-        let evicted = EvictedHome::evict(*d);
-        ctx.evicted_bytes
-            .fetch_max(evicted.approx_bytes(), Ordering::SeqCst);
-        slot.cell = Cell::Evicted(evicted);
-        ctx.resident.fetch_sub(1, Ordering::SeqCst);
-        ctx.evictions.fetch_add(1, Ordering::SeqCst);
     }
 }
 
@@ -992,6 +959,55 @@ mod tests {
     use safehome_devices::FailurePlan;
     use safehome_sim::SimRng;
     use safehome_types::{DeviceId, Routine, Value};
+
+    impl Runner<'_> {
+        /// The runner's invariants, which `put` checks after its sweep:
+        /// the wheel holds exactly the parked units (unbuilt, live, live
+        /// sub-run or evicted), the candidates are parked cold homes and
+        /// agree with the units' scores, the sweep kept residency within
+        /// budget unless no candidate was left, and `unfinished` counts
+        /// the homes whose primary unit has not finished.
+        pub(super) fn check(&self, ctx: &ServiceCtx<'_>) {
+            let parked = self.slots.iter().filter(|s| {
+                matches!(
+                    s.cell,
+                    Cell::Unbuilt | Cell::Live(_) | Cell::LiveSub(_) | Cell::Evicted(_)
+                )
+            });
+            assert_eq!(
+                self.wheel.len(),
+                parked.count(),
+                "one wheel entry per parked unit"
+            );
+            let scored: BTreeSet<(u64, usize)> = self
+                .slots
+                .iter()
+                .enumerate()
+                .filter_map(|(unit, s)| Some((s.score?, unit)))
+                .collect();
+            assert_eq!(scored, self.candidates, "candidates and scores disagree");
+            for &(_, unit) in &self.candidates {
+                let cold =
+                    matches!(&self.slots[unit].cell, Cell::Live(d) if !d.is_done() && is_cold(d));
+                assert!(
+                    ctx.units[unit].evictable && cold,
+                    "candidate {unit} is not a parked cold home"
+                );
+            }
+            if let Some(max) = self.max_resident {
+                assert!(
+                    self.resident <= max || self.candidates.is_empty(),
+                    "sweep left residency over budget"
+                );
+            }
+            let unfinished = ctx
+                .home_units
+                .iter()
+                .filter(|r| !matches!(self.slots[r.start].cell, Cell::Finished { .. }))
+                .count();
+            assert_eq!(self.unfinished, unfinished, "unfinished homes miscounted");
+        }
+    }
 
     /// An open-loop-shaped home: arrivals spread over a long, sparse
     /// horizon (exercising the wheel's outer levels), and a seeded
@@ -1298,26 +1314,6 @@ mod tests {
     }
 
     #[test]
-    fn stale_candidate_entries_are_compacted() {
-        let mut sc = Scheduler::default();
-        // The race the old keyed-by-time set leaked on: a home is
-        // parked, claimed by an evictor while another worker re-parks
-        // it — the re-park must replace, not duplicate, the candidate
-        // entry.
-        sc.park_candidate(3, 100);
-        sc.park_candidate(3, 250);
-        assert_eq!(sc.parked.len(), 1, "re-park compacts the stale entry");
-        assert_eq!(sc.best_victim(), Some((250, 3)));
-        sc.park_candidate(7, 50);
-        assert_eq!(sc.best_victim(), Some((250, 3)), "highest score wins");
-        assert!(sc.unpark_candidate(3));
-        assert!(!sc.unpark_candidate(3), "second claim loses the race");
-        assert_eq!(sc.best_victim(), Some((50, 7)));
-        assert!(sc.unpark_candidate(7));
-        assert!(sc.parked.is_empty() && sc.scores.is_empty());
-    }
-
-    #[test]
     fn resident_run_matches_batch_fleet_exactly() {
         let batch = run_fleet(10, 1, 0x5e7, service_shaped_home);
         let resident = run_service(10, 1, 0x5e7, TimeDelta::from_secs(10), service_shaped_home);
@@ -1481,6 +1477,33 @@ mod tests {
             .sum();
         assert_eq!(r.latency.count(), raw);
         assert!(r.evictions > 0);
+    }
+
+    /// [`evictable_home`], except that home 3's only routine names a
+    /// device its four plugs lack, so its first slice panics.
+    fn panicking_home(home: usize, seed: u64) -> RunSpec {
+        let mut spec = evictable_home(home, seed);
+        if home == 3 {
+            let ghost = Routine::builder("ghost")
+                .set(DeviceId(99), Value::ON, TimeDelta::from_millis(50))
+                .build();
+            spec.submissions.clear();
+            spec.submit(Submission::at(ghost, Timestamp::from_millis(1_000)));
+        }
+        spec
+    }
+
+    /// A panicking slice abandons the run at any worker count: the
+    /// other workers stop waiting for the unit it held, and the panic
+    /// reaches the caller instead of hanging it.
+    #[test]
+    fn a_panicking_home_fails_the_run_instead_of_hanging_it() {
+        for workers in [1, 2, 4] {
+            let run = std::panic::catch_unwind(|| {
+                run_service(6, workers, 5, TimeDelta::from_secs(10), panicking_home)
+            });
+            assert!(run.is_err(), "{workers} workers must re-raise the panic");
+        }
     }
 
     #[test]

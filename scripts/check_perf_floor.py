@@ -35,8 +35,15 @@ placement four times reads 4.2-4.5x.
 
 The two `journal.*` rows measure the benchmark's side journal pass, which
 journals, crashes and replays homes of its own. The service runner does
-not journal: its eviction keeps a home's controller and resumes it, so
-the `service_evict` throughput row guards that path.
+not journal, and the three service throughput rows cannot see a slower
+runner either. Their reference values (12,756 routines/s on
+`service_day`, 3,036 on `service_evict`, 44,528 on `workshop_intra`)
+predate most of the runner's speed-ups, so at the 2.5 limit they fail
+only below 5,102, 1,214 and 17,811 routines/s. Ten runs of each on a
+shared 2-vCPU host read medians of 52.7k, 52.2k and 62.3k, so a runner
+10x, 43x or 3.5x slower still passes: these rows catch a service path
+that collapses, not one that regressed. Re-recording the reference is
+listed in ROADMAP.md for the next benchmark change.
 
 Same-run rows read no reference: each bounds the ratio of two metrics of
 one traced run. Both come from the same machine and the same moment, so
